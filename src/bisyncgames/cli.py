@@ -161,7 +161,7 @@ def _density_local(args):
         recon = densities.mixture_density(result)
         err = float(np.abs(recon.p - d.p).max())
         rep.add("locally_decomposable", True)
-        rep.add("reconstruction", err <= 10 * args.tol, err)
+        rep.add("reconstruction", err <= args.tol, err)
         return rep, {"mixture": serialize.mixture_to_dict(result)}
     rep.add("locally_decomposable", False, result.violation, result.witness)
     cert = {

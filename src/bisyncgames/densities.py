@@ -9,12 +9,9 @@ programming over deterministic strategies.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
 from .errors import (
     BadWeights,
@@ -22,6 +19,7 @@ from .errors import (
     NotBijective,
     PreconditionFailed,
     ShapeMismatch,
+    SolverFailed,
     TooLarge,
 )
 from .games import Game
@@ -30,6 +28,8 @@ from .report import Report
 
 _FACTORIAL_GUARD = 8      # largest n for permutation-column LPs
 _RESPONSE_GUARD = 3000    # largest k**n for response-function LPs
+# HiGHS feasibility tolerances for the one re-solve near the polytope's boundary
+_TIGHT_LP = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -152,30 +152,52 @@ def compose(q: Density, p: Density) -> Density:
     return Density(r)
 
 
+def _atom_coordinates(atoms, k: int) -> np.ndarray:
+    """Flat coordinates of the ones of deterministic densities.
+
+    ``atoms`` is an (m, n) array holding one map f: [n] -> [k] per row.
+    Row j of the (m, n*n) result lists ((x*n + y)*k + f[x])*k + f[y]
+    for (x, y) in row-major order: the entries of p[x, y, a, b] =
+    [a = f(x)][b = f(y)] that equal one.
+    """
+    atoms = np.asarray(atoms, dtype=np.intp)
+    m, n = atoms.shape
+    xy = np.arange(n * n).reshape(n, n)
+    return ((xy * k + atoms[:, :, None]) * k + atoms[:, None, :]).reshape(m, n * n)
+
+
+def _atom_mixture(atoms, weights, k: int) -> np.ndarray:
+    """The tensor sum_j weights[j] * (density of atom j), shape (n, n, k, k)."""
+    n = len(atoms[0])
+    flat = np.bincount(_atom_coordinates(atoms, k).ravel(),
+                       weights=np.repeat(weights, n * n), minlength=n * n * k * k)
+    return flat.reshape(n, n, k, k)
+
+
+def _all_atoms(family: str, n: int, k: int) -> np.ndarray:
+    """Every permutation of [n], or every map [n] -> [k], one per row."""
+    if family == "permutations":
+        atoms = itertools.permutations(range(n))
+    else:
+        atoms = itertools.product(range(k), repeat=n)
+    return np.array(list(atoms), dtype=np.intp).reshape(-1, n)
+
+
 def from_permutation(sigma) -> Density:
     """Deterministic density of a permutation: p(a, b | x, y) = [a = s(x)][b = s(y)]."""
     sigma = list(sigma)
     n = len(sigma)
     if sorted(sigma) != list(range(n)):
         raise NotBijective(f"{sigma} is not a permutation of 0..{n - 1}")
-    p = np.zeros((n, n, n, n))
-    for x in range(n):
-        for y in range(n):
-            p[x, y, sigma[x], sigma[y]] = 1.0
-    return Density(p)
+    return Density(_atom_mixture([sigma], [1.0], n))
 
 
 def from_response_function(f, k: int) -> Density:
     """Deterministic density of a shared response function [n] -> [k]."""
     f = list(f)
-    n = len(f)
     if any(not 0 <= v < k for v in f):
         raise ShapeMismatch("response values must lie in 0..k-1")
-    p = np.zeros((n, n, k, k))
-    for x in range(n):
-        for y in range(n):
-            p[x, y, f[x], f[y]] = 1.0
-    return Density(p)
+    return Density(_atom_mixture([f], [1.0], k))
 
 
 def mixture(ds, weights) -> Density:
@@ -263,13 +285,7 @@ class PermutationMixture:
 
 
 def mixture_density(mix: PermutationMixture) -> Density:
-    n = mix.n
-    acc = np.zeros((n, n, n, n))
-    for w, s in zip(mix.weights, mix.permutations):
-        for x in range(n):
-            for y in range(n):
-                acc[x, y, s[x], s[y]] += w
-    return Density(acc)
+    return Density(_atom_mixture(mix.permutations, mix.weights, mix.n))
 
 
 @dataclass(frozen=True)
@@ -282,11 +298,7 @@ class ResponseMixture:
 
 
 def response_mixture_density(mix: ResponseMixture) -> Density:
-    acc = None
-    for w, f in zip(mix.weights, mix.functions):
-        d = from_response_function(f, mix.k)
-        acc = w * d.p if acc is None else acc + w * d.p
-    return Density(acc)
+    return Density(_atom_mixture(mix.functions, mix.weights, mix.k))
 
 
 @dataclass(frozen=True)
@@ -308,85 +320,113 @@ class Infeasible:
     atoms: str = "permutations"
 
 
-def _deterministic_columns(atoms, index_of, n: int, k: int):
-    """Sparse 0/1 matrix whose columns are flattened deterministic densities,
-    plus a trailing all-ones normalization row."""
-    rows, cols = [], []
-    for j, atom in enumerate(atoms):
-        for x in range(n):
-            for y in range(n):
-                rows.append(index_of(x, y, atom[x], atom[y]))
-                cols.append(j)
-    ncols = len(atoms)
-    nrows = n * n * k * k
-    data = np.ones(len(rows))
-    body = scipy.sparse.csc_matrix((data, (rows, cols)), shape=(nrows, ncols))
-    norm_row = scipy.sparse.csc_matrix(np.ones((1, ncols)))
-    return scipy.sparse.vstack([body, norm_row]).tocsc()
+def _membership_lp(idx, p, options=None):
+    """Minimize the sup-norm slack t over {lam >= 0 : |A lam - p| <= t, sum lam = 1}.
 
+    Column j of A is the flattened density of atom j, whose ones sit at
+    ``idx[j]`` (see :func:`_atom_coordinates`); ``p`` is the density
+    tensor.  Only the distinct rows of A are posed.  A coordinate that
+    no atom hits only bounds t below by |p| there, so it becomes the
+    lower bound of t.  The coordinates (x, y, a, b) and (y, x, b, a) are
+    one and the same row of A, so each such pair is posed once, between
+    the smaller and the larger of its two entries of p.  The optimum is
+    that of the LP over all coordinates.
 
-def _membership_lp(a, b, tol):
-    """Minimize the sup-norm slack t over {lam >= 0 : |A lam - b| <= t, sum lam = 1}.
-
-    Returns (t*, lam, dual_y, dual_mu).  The dual pair satisfies
-    y . col + mu <= 0 for every column and y . b + mu = t*.
+    Returns (t*, lam, y, mu), with the duals mapped back onto every
+    coordinate: y . col + mu <= 0 for every atom and y . p + mu = t*.
+    Raises :class:`SolverFailed` when HiGHS reports no optimum.
     """
-    nrows, ncols = a.shape
-    ones_col = scipy.sparse.csc_matrix(np.ones((nrows, 1)))
-    a_ub = scipy.sparse.vstack([
-        scipy.sparse.hstack([a, -ones_col]),
-        scipy.sparse.hstack([-a, -ones_col]),
-    ]).tocsc()
-    b_ub = np.concatenate([b, -b])
-    a_eq = scipy.sparse.hstack([
-        scipy.sparse.csc_matrix(np.ones((1, ncols))),
-        scipy.sparse.csc_matrix((1, 1)),
-    ]).tocsc()
+    import scipy.optimize
+    import scipy.sparse
+
+    n = p.shape[0]
+    flat = p.reshape(-1)
+    mirror = np.arange(flat.size).reshape(p.shape).transpose(1, 0, 3, 2).reshape(-1)
+    # An atom hits (x, y, a, b) iff it hits the mirror (y, x, b, a), so
+    # its x <= y coordinates meet every row it hits exactly once.
+    upper = idx[:, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))]
+    hit = np.zeros(flat.size, dtype=bool)
+    hit[upper] = True
+    rows = np.flatnonzero(hit)
+    mates = mirror[rows]
+    swap = flat[mates] < flat[rows]
+    lo, hi = np.where(swap, mates, rows), np.where(swap, rows, mates)
+    hit[mates] = True
+    missed = np.flatnonzero(~hit)
+    worst = missed[np.abs(flat[missed]).argmax()] if missed.size else None
+    t_floor = 0.0 if worst is None else abs(float(flat[worst]))
+
+    # A_ub = [[A, -1], [-A, -1]] in CSC form, column by column: atom j
+    # has +1 at its rows and -1 at the same rows of the lower block.
+    ncols, nrows, per_col = idx.shape[0], rows.size, upper.shape[1]
+    r = np.searchsorted(rows, upper)
+    indices = np.concatenate([np.hstack([r, r + nrows]).ravel(), np.arange(2 * nrows)])
+    data = np.concatenate([np.tile(np.repeat([1.0, -1.0], per_col), ncols),
+                           np.full(2 * nrows, -1.0)])
+    indptr = np.append(np.arange(ncols + 1) * 2 * per_col, 2 * (per_col * ncols + nrows))
+    a_ub = scipy.sparse.csc_matrix((data, indices, indptr), shape=(2 * nrows, ncols + 1))
+    a_eq = scipy.sparse.csr_matrix(np.append(np.ones(ncols), 0.0)[None, :])
     c = np.zeros(ncols + 1)
     c[-1] = 1.0
+    bounds = np.zeros((ncols + 1, 2))
+    bounds[:, 1] = np.inf
+    bounds[-1, 0] = t_floor
     res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * (ncols + 1), method="highs",
+        c, A_ub=a_ub, b_ub=np.concatenate([flat[lo], -flat[hi]]), A_eq=a_eq, b_eq=[1.0],
+        bounds=bounds, method="highs", options=options,
     )
     if res.status != 0:
-        raise RuntimeError(f"membership LP failed with status {res.status}")
-    lam = res.x[:ncols]
+        raise SolverFailed(f"membership LP failed with HiGHS status {res.status}: "
+                           f"{res.message}")
     marg = res.ineqlin.marginals
-    y = marg[:nrows] - marg[nrows:]
-    mu = float(res.eqlin.marginals[0])
-    return float(res.fun), lam, y, mu
+    y = (np.bincount(lo, marg[:nrows], flat.size)
+         - np.bincount(hi, marg[nrows:], flat.size))
+    if worst is not None:
+        y[worst] = res.lower.marginals[-1] * np.sign(flat[worst])
+    return float(res.fun), res.x[:ncols], y, float(res.eqlin.marginals[0])
 
 
-def _polish_mixture(a, b, lam, support_cut=1e-12):
-    """Nonnegative least squares on the LP support to sharpen the weights."""
+def _polish_mixture(idx, p, lam, support_cut=1e-12):
+    """Nonnegative least squares on the LP support to sharpen the weights.
+
+    Returns (support, weights); the weights sum to one.
+    """
+    import scipy.optimize
+
     support = np.flatnonzero(lam > support_cut)
     if support.size == 0:
         support = np.array([int(np.argmax(lam))])
-    dense = a[:, support].toarray()
-    w, _ = scipy.optimize.nnls(dense, b)
-    total = w.sum()
-    if total > 0:
-        w = w / total
-    result = np.zeros_like(lam)
-    result[support] = w
-    return result
+    dense = np.zeros((p.size + 1, support.size))
+    dense[idx[support], np.arange(support.size)[:, None]] = 1.0
+    dense[-1] = 1.0
+    w, _ = scipy.optimize.nnls(dense, np.append(p.reshape(-1), 1.0))
+    keep = w > 1e-14
+    return support[keep], w[keep] / w[keep].sum()
 
 
-def _decide_membership(atoms, a, b, d, tol, wrap, atom_family):
-    t_star, lam, y, mu = _membership_lp(a, b, tol)
-    if t_star <= tol:
-        lam = _polish_mixture(a, b, lam)
-        keep = np.flatnonzero(lam > 1e-14)
-        weights = lam[keep] / lam[keep].sum()
-        return wrap(weights, [atoms[j] for j in keep])
-    resid = np.abs(a @ lam - b)[:-1]
-    idx = int(resid.argmax())
-    n, _, k, _ = d.p.shape
-    x, yy, aa, bb = np.unravel_index(idx, (n, n, k, k))
-    witness = (f"p(a={aa},b={bb}|x={x},y={yy}): residual {resid[idx]:.3e} "
-               f"at the closest mixture")
-    return Infeasible(t_star, y[:-1].copy(), mu + float(y[-1]), witness,
-                      atom_family)
+def _decide_membership(atoms, d, tol, wrap, atom_family):
+    """Solve, then check: a mixture is returned only if it reproduces ``d``
+    within ``tol`` on every coordinate.  When the LP claims t* <= tol but
+    the polished mixture misses by more, the LP is solved once more with
+    tight HiGHS tolerances (the density then sits within solver
+    precision of the polytope's boundary)."""
+    k = d.kA
+    idx = _atom_coordinates(atoms, k)
+    for options in (None, _TIGHT_LP):
+        t_star, lam, y, mu = _membership_lp(idx, d.p, options)
+        if t_star > tol:
+            resid = np.abs(_atom_mixture(atoms, lam, k) - d.p)
+            x, yy, aa, bb = np.unravel_index(int(resid.argmax()), d.p.shape)
+            witness = (f"p(a={aa},b={bb}|x={x},y={yy}): residual {resid.max():.3e} "
+                       f"at the closest mixture")
+            return Infeasible(t_star, y, mu, witness, atom_family)
+        support, weights = _polish_mixture(idx, d.p, lam)
+        err = float(np.abs(_atom_mixture(atoms[support], weights, k) - d.p).max())
+        if err <= tol:
+            return wrap(weights, tuple(map(tuple, atoms[support].tolist())))
+    raise SolverFailed(f"the LP puts the density within t* = {t_star:.3e} of the "
+                       f"local polytope, but the closest mixture found is {err:.3e} "
+                       f"away (tol {tol:g})")
 
 
 def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
@@ -405,16 +445,9 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     n = d.nA
     if n > _FACTORIAL_GUARD:
         raise PreconditionFailed(f"n = {n} exceeds the factorial guard {_FACTORIAL_GUARD}")
-    atoms = list(itertools.permutations(range(n)))
-
-    def index_of(x, y, a, b):
-        return ((x * n + y) * n + a) * n + b
-
-    a = _deterministic_columns(atoms, index_of, n, n)
-    b = np.append(d.p.reshape(-1), 1.0)
     return _decide_membership(
-        atoms, a, b, d, tol,
-        lambda w, kept: PermutationMixture(w, tuple(kept)),
+        _all_atoms("permutations", n, n), d, tol,
+        lambda w, kept: PermutationMixture(w, kept),
         "permutations",
     )
 
@@ -433,16 +466,9 @@ def local_sync_membership(d: Density, tol: float = DEFAULT_TOL):
     n, k = d.nA, d.kA
     if k ** n > _RESPONSE_GUARD:
         raise TooLarge(f"{k}^{n} response functions exceed the guard of {_RESPONSE_GUARD}")
-    atoms = list(itertools.product(range(k), repeat=n))
-
-    def index_of(x, y, a, b):
-        return ((x * n + y) * k + a) * k + b
-
-    a = _deterministic_columns(atoms, index_of, n, k)
-    b = np.append(d.p.reshape(-1), 1.0)
     return _decide_membership(
-        atoms, a, b, d, tol,
-        lambda w, kept: ResponseMixture(w, tuple(kept), k),
+        _all_atoms("responses", n, k), d, tol,
+        lambda w, kept: ResponseMixture(w, kept, k),
         "responses",
     )
 
@@ -456,15 +482,6 @@ def separation_margins(d: Density, cert: Infeasible):
     """
     n, k = d.nA, d.kA
     value_at_d = float(cert.functional @ d.p.reshape(-1) + cert.offset)
-    if cert.atoms == "permutations":
-        atoms = itertools.permutations(range(n))
-    else:
-        atoms = itertools.product(range(k), repeat=n)
-    worst = -math.inf
-    for atom in atoms:
-        col = np.zeros((n, n, k, k))
-        for x in range(n):
-            for y in range(n):
-                col[x, y, atom[x], atom[y]] = 1.0
-        worst = max(worst, float(cert.functional @ col.reshape(-1) + cert.offset))
+    idx = _atom_coordinates(_all_atoms(cert.atoms, n, k), k)
+    worst = float((cert.functional[idx].sum(axis=1) + cert.offset).max())
     return worst, value_at_d

@@ -63,3 +63,7 @@ class NotUnitalChannel(BisyncError):
 
 class InternalMismatch(BisyncError):
     """Two independent internal computations of the same object disagree."""
+
+
+class SolverFailed(BisyncError):
+    """A numerical solver reported no optimum, or an answer that fails its check."""

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from bisyncgames import cli, densities as dn, games, qperm, serialize
 
@@ -215,3 +219,28 @@ def test_stdin_roundtrip(z3_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["pass"]
+
+
+def test_solver_failure_cli_exits_2_without_traceback(monkeypatch, capsys, tmp_path):
+    def failing_linprog(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=2, message="infeasible (forced)")
+
+    path = tmp_path / "perm.json"
+    serialize.dump_json(serialize.density_to_dict(dn.from_permutation([1, 0, 2])), str(path))
+    monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+    assert cli.run(["density", "local-decompose", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: membership LP failed")
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the LP itself, not by importing the package
+    code = ("import sys, bisyncgames.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"

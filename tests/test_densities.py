@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisyncgames import densities as dn
 from bisyncgames import games
@@ -12,6 +16,7 @@ from bisyncgames.errors import (
     NotBijective,
     PreconditionFailed,
     ShapeMismatch,
+    SolverFailed,
     TooLarge,
 )
 
@@ -235,3 +240,172 @@ def test_sync_membership_rejects_entangled_like_density():
     on_polytope, at_d = dn.separation_margins(d, res)
     assert on_polytope <= 1e-9
     assert at_d == pytest.approx(res.violation, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Membership LP: the boundary, solver failure, and the full-row reference
+
+
+def cyclic_density(n, k):
+    """z_{n,k}: equal inputs give equal outputs uniformly; distinct inputs
+    force a - b = 1 (mod k) uniformly."""
+    x, y, a, b = np.indices((n, n, k, k))
+    return np.where(x == y, a == b, (a - b) % k == 1) / k
+
+
+def uniform_permutation_density(n):
+    perms = list(itertools.permutations(range(n)))
+    return sum(dn.from_permutation(s).p for s in perms) / len(perms)
+
+
+def cyclic_functional(n):
+    """F(q) = sum over x != y and a - b = 1 (mod n) of q(a, b | x, y).  A
+    permutation hits (a, b) = (v + 1, v) at exactly one ordered pair for
+    each value v, so F = n on every permutation and on every mixture."""
+    x, y, a, b = np.indices((n, n, n, n))
+    return (x != y) & ((a - b) % n == 1)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("s", [1e-7, 2e-7, 1e-6])
+def test_membership_boundary_slice_is_infeasible(n, s):
+    # d_s = (1 - s) U_n + s z_n is nonlocal for every s > 0; at s = 1e-7 the
+    # default HiGHS tolerances alone once let a mixture 1.7e-8 away through
+    d = dn.Density((1 - s) * uniform_permutation_density(n) + s * cyclic_density(n, n))
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.Infeasible)
+    on_polytope, at_d = dn.separation_margins(d, res)
+    assert on_polytope <= 1e-9
+    assert at_d == pytest.approx(res.violation, abs=1e-9)
+    f = cyclic_functional(n)
+    # integer counts on the permutations, so this side is exact
+    assert all(int(f[dn.from_permutation(t).p == 1].sum()) == n
+               for t in itertools.permutations(range(n)))
+    # F(d_s) - n = s n (n - 2) >= 3e-7, far above rounding
+    assert float(d.p[f].sum()) - n > 0
+
+
+def failing_linprog(*args, **kwargs):
+    return scipy.optimize.OptimizeResult(status=2, message="infeasible (forced)")
+
+
+def test_solver_failure_raises_package_error(monkeypatch):
+    monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+    with pytest.raises(SolverFailed, match="status 2"):
+        dn.local_bisync_membership(dn.from_permutation([1, 0, 2]))
+
+
+def loop_density(f, k):
+    """Reference: p[x, y, f(x), f(y)] = 1, entry by entry."""
+    n = len(f)
+    p = np.zeros((n, n, k, k))
+    for x in range(n):
+        for y in range(n):
+            p[x, y, f[x], f[y]] = 1.0
+    return p
+
+
+def test_atom_helper_matches_loops(rng):
+    for n, k, family in [(1, 1, "permutations"), (3, 3, "permutations"),
+                         (5, 5, "permutations"), (4, 2, "responses"), (5, 3, "responses")]:
+        if family == "permutations":
+            atoms = np.array([rng.permutation(n) for _ in range(4)])
+        else:
+            atoms = rng.integers(k, size=(4, n))
+        idx = dn._atom_coordinates(atoms, k)
+        for j, f in enumerate(atoms):
+            ref = loop_density(f, k)
+            tensor = np.zeros(ref.size)
+            tensor[idx[j]] = 1.0
+            assert np.array_equal(tensor.reshape(ref.shape), ref)
+            assert np.array_equal(dn.from_response_function(f, k).p, ref)
+            if family == "permutations":
+                assert np.array_equal(dn.from_permutation(f).p, ref)
+        w = rng.dirichlet(np.ones(len(atoms)))
+        mixed = sum(wj * loop_density(f, k) for wj, f in zip(w, atoms))
+        kept = tuple(map(tuple, atoms))
+        if family == "permutations":
+            rebuilt = dn.mixture_density(dn.PermutationMixture(w, kept))
+        else:
+            rebuilt = dn.response_mixture_density(dn.ResponseMixture(w, kept, k))
+        # same sums, possibly in another order
+        assert np.abs(rebuilt.p - mixed).max() <= 1e-15
+
+
+def full_row_lp(atoms, p, k):
+    """Reference: the membership LP over every coordinate, two-sided, plus
+    an all-ones normalization row, as first posed.  Returns t*."""
+    n = atoms.shape[1]
+    rows, cols = [], []
+    for j, f in enumerate(atoms):
+        for x in range(n):
+            for y in range(n):
+                rows.append(((x * n + y) * k + f[x]) * k + f[y])
+                cols.append(j)
+    nrows, ncols = p.size + 1, len(atoms)
+    body = scipy.sparse.csc_matrix((np.ones(len(rows)), (rows, cols)),
+                                   shape=(p.size, ncols))
+    a = scipy.sparse.vstack([body, np.ones((1, ncols))]).tocsc()
+    b = np.append(p.reshape(-1), 1.0)
+    ones = np.ones((nrows, 1))
+    a_ub = scipy.sparse.vstack([scipy.sparse.hstack([a, -ones]),
+                                scipy.sparse.hstack([-a, -ones])])
+    a_eq = np.append(np.ones(ncols), 0.0)[None, :]
+    c = np.zeros(ncols + 1)
+    c[-1] = 1.0
+    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=np.concatenate([b, -b]),
+                                 A_eq=a_eq, b_eq=[1.0], method="highs",
+                                 options=dn._TIGHT_LP)
+    assert res.status == 0
+    return res.fun
+
+
+def _draw_density(kind, n, k, seed, s):
+    rng = np.random.default_rng(seed)
+    if kind == "responses":
+        atoms = rng.integers(k, size=(4, n))
+    else:
+        atoms = np.array([rng.permutation(n) for _ in range(4)])
+        k = n
+    w = rng.dirichlet(np.ones(len(atoms)))
+    p = sum(wj * loop_density(f, k) for wj, f in zip(w, atoms))
+    if kind != "local":
+        p = (1 - s) * p + s * cyclic_density(n, k)
+    if kind == "asymmetric":
+        # move mass between two off-diagonal outputs of one input pair
+        # x != y, leaving the mirror pair (y, x) as it was
+        for x, y in [(0, 1), (n - 1, 0)]:
+            off = np.where(np.eye(n, dtype=bool), -1.0, p[x, y])
+            a, b = np.unravel_index(off.argmax(), off.shape)
+            shift = rng.uniform(0.2, 1.0) * p[x, y, a, b]
+            p[x, y, a, b] -= shift
+            p[x, y, (a + 1) % n, (a + 2) % n] += shift
+    return dn.Density(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["local", "toward_z", "asymmetric", "responses"]),
+       n=st.integers(3, 5), k=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1),
+       s=st.one_of(st.floats(0.0, 0.4), st.sampled_from([1e-7, 2e-7, 1e-6])))
+def test_reduced_lp_matches_full_row_reference(kind, n, k, seed, s):
+    d = _draw_density(kind, n, k, seed, s)
+    family = "responses" if kind == "responses" else "permutations"
+    kk = k if family == "responses" else n
+    atoms = dn._all_atoms(family, n, kk)
+    # both sides at the tight tolerances: near the boundary the default
+    # ones leave t* uncertain by ~1e-8
+    t_star, _, _, _ = dn._membership_lp(dn._atom_coordinates(atoms, kk), d.p, dn._TIGHT_LP)
+    assert t_star == pytest.approx(full_row_lp(atoms, d.p, kk), abs=1e-9)
+    if family == "responses":
+        res = dn.local_sync_membership(d)
+        rebuild = dn.response_mixture_density
+    else:
+        res = dn.local_bisync_membership(d)
+        rebuild = dn.mixture_density
+    if isinstance(res, dn.Infeasible):
+        on_polytope, at_d = dn.separation_margins(d, res)
+        assert on_polytope <= 1e-9
+        assert at_d == pytest.approx(res.violation, abs=1e-9)
+    else:
+        assert np.abs(rebuild(res).p - d.p).max() <= dn.DEFAULT_TOL
