@@ -102,8 +102,29 @@ def compose_maps(outer: ChoiMap, inner: ChoiMap) -> ChoiMap:
     return choi_from_tensor(r)
 
 
+# Max-norm deviation of a map from each checked property; the predicates
+# and channel_report both read these values.
+_DEVIATIONS = {
+    "hermiticity_preserving": lambda m: norm_max(m.choi - dagger(m.choi)),
+    "trace_preserving": lambda m: norm_max(
+        np.einsum("xyaa->xy", density_tensor(m)) - np.eye(m.n)),
+    "unital": lambda m: norm_max(apply_map(m, np.eye(m.n)) - np.eye(m.k)),
+    "preserves_all_ones": lambda m: norm_max(
+        apply_map(m, np.ones((m.n, m.n))) - np.ones((m.k, m.k))),
+    "preserves_entry_sum": lambda m: norm_max(
+        np.einsum("xyab->xy", density_tensor(m)) - np.ones((m.n, m.n))),
+}
+
+
+def _check(m: ChoiMap, name: str, tol: float) -> tuple:
+    """(passed, deviation); only the Hermiticity tolerance scales with the Choi matrix."""
+    dev = _DEVIATIONS[name](m)
+    scale = max(1.0, norm_max(m.choi)) if name == "hermiticity_preserving" else 1.0
+    return dev <= tol * scale, dev
+
+
 def is_hermiticity_preserving(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
-    return linalg.is_hermitian(m.choi, tol * max(1.0, norm_max(m.choi)))
+    return _check(m, "hermiticity_preserving", tol)[0]
 
 
 def is_cp(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
@@ -117,26 +138,21 @@ def is_cp(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
 def is_tp(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
     """Trace preservation: tr Phi(E_xy) = delta_xy, i.e. the partial trace
     of the Choi matrix over the output factor is the identity."""
-    t = density_tensor(m)
-    partial = np.einsum("xyaa->xy", t)
-    return norm_max(partial - np.eye(m.n)) <= tol
+    return _check(m, "trace_preserving", tol)[0]
 
 
 def is_unital(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
-    return norm_max(apply_map(m, np.eye(m.n)) - np.eye(m.k)) <= tol
+    return _check(m, "unital", tol)[0]
 
 
 def preserves_J(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
     """Whether the all-ones matrix maps to the all-ones matrix."""
-    out = apply_map(m, np.ones((m.n, m.n)))
-    return norm_max(out - np.ones((m.k, m.k))) <= tol
+    return _check(m, "preserves_all_ones", tol)[0]
 
 
 def preserves_sigma(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
     """Whether the entry-sum functional is preserved on every matrix unit."""
-    t = density_tensor(m)
-    sums = np.einsum("xyab->xy", t)
-    return norm_max(sums - np.ones((m.n, m.n))) <= tol
+    return _check(m, "preserves_entry_sum", tol)[0]
 
 
 def noncp_spectral_margin(m: ChoiMap) -> float:
@@ -167,22 +183,13 @@ def min_choi_eigenvalue(m: ChoiMap) -> float:
 def channel_report(m: ChoiMap, tol: float = DEFAULT_TOL) -> Report:
     """All channel-property checks in a fixed order."""
     rep = Report("map check")
-    herm_dev = norm_max(m.choi - dagger(m.choi))
-    rep.add("hermiticity_preserving", is_hermiticity_preserving(m, tol), herm_dev)
+    rep.add("hermiticity_preserving", *_check(m, "hermiticity_preserving", tol))
     margin = noncp_spectral_margin(m)
     rep.add("completely_positive", is_cp(m, tol), margin,
             None if margin == 0 else f"spectral non-CP margin {margin:.6g}")
-    t = density_tensor(m)
-    partial = np.einsum("xyaa->xy", t)
-    rep.add("trace_preserving", is_tp(m, tol), norm_max(partial - np.eye(m.n)))
-    if m.n == m.k:
-        rep.add("unital", is_unital(m, tol),
-                norm_max(apply_map(m, np.eye(m.n)) - np.eye(m.k)))
-        rep.add("preserves_all_ones", preserves_J(m, tol),
-                norm_max(apply_map(m, np.ones((m.n, m.n))) - np.ones((m.k, m.k))))
-    sums = np.einsum("xyab->xy", t)
-    rep.add("preserves_entry_sum", preserves_sigma(m, tol),
-            norm_max(sums - np.ones((m.n, m.n))))
+    square = ("unital", "preserves_all_ones") if m.n == m.k else ()
+    for name in ("trace_preserving", *square, "preserves_entry_sum"):
+        rep.add(name, *_check(m, name, tol))
     return rep
 
 
@@ -218,9 +225,12 @@ def kraus_from_choi(m: ChoiMap, tol: float = DEFAULT_TOL) -> KrausSet:
     contribute one operator each; orthogonality of eigenvectors makes
     the operators linearly independent.
     """
-    if not is_cp(m, tol):
+    try:
+        eig = linalg.hermitian_eig(m.choi, tol)
+    except NotHermitian:
+        eig = None
+    if eig is None or not eig.eigenvalues[0] >= -tol * max(1.0, norm_max(m.choi)):
         raise NotCP("Kraus extraction requires a completely positive map")
-    eig = linalg.hermitian_eig(0.5 * (m.choi + dagger(m.choi)), tol)
     top = max(float(eig.eigenvalues[-1]), 0.0)
     cutoff = tol * max(top, 1.0)
     ops = []
@@ -231,12 +241,7 @@ def kraus_from_choi(m: ChoiMap, tol: float = DEFAULT_TOL) -> KrausSet:
     if not ops:
         ops.append(np.zeros((m.n, m.k), dtype=np.complex128))
     kraus = KrausSet(tuple(ops))
-    basis = np.eye(m.n)
-    worst = 0.0
-    for x in range(m.n):
-        for y in range(m.n):
-            unit = np.outer(basis[x], basis[y])
-            worst = max(worst, norm_max(kraus.apply(unit) - apply_map(m, unit)))
+    worst = norm_max(choi_from_kraus(kraus, m.n, m.k).choi - m.choi)
     if worst > 1e-7 * max(1.0, norm_max(m.choi)):
         raise InternalMismatch(f"Kraus form deviates from the map by {worst}")
     return kraus
@@ -258,20 +263,28 @@ def fixed_point_set(m: ChoiMap, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     cross-checked against the joint commutant of the Kraus operators;
     a dimension disagreement raises InternalMismatch.
     """
+    return _fixed_point_bases(m, tol)[0]
+
+
+def _fixed_point_bases(m: ChoiMap, tol: float):
+    """(eigenspace basis, Kraus-commutant basis) of Fix(Phi); see fixed_point_set."""
     if m.n != m.k:
         raise NotUnitalChannel("fixed points need equal input and output dimensions")
-    if not (is_unital(m, tol) and is_tp(m, tol) and is_cp(m, tol)):
+    if not (is_unital(m, tol) and is_tp(m, tol)):
         raise NotUnitalChannel("fixed_point_set requires a unital channel")
+    try:
+        kraus = kraus_from_choi(m, tol)
+    except NotCP:
+        raise NotUnitalChannel("fixed_point_set requires a unital channel") from None
     n = m.n
     super_op = density_tensor(m).transpose(2, 3, 0, 1).reshape(n * n, n * n)
     basis_vecs = linalg.nullspace(super_op - np.eye(n * n), tol)
     fixed = [v.reshape(n, n) for v in basis_vecs]
-    kraus = kraus_from_choi(m, tol)
     commutant = linalg.joint_commutant(kraus.operators, tol)
     if len(commutant) != len(fixed):
         raise InternalMismatch(
             f"eigenspace dimension {len(fixed)} != Kraus-commutant dimension {len(commutant)}")
-    return fixed
+    return fixed, commutant
 
 
 def is_schur_closed(basis, tol: float = DEFAULT_TOL) -> bool:

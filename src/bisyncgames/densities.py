@@ -106,24 +106,29 @@ def is_synchronous_density(d: Density, tol: float = DEFAULT_TOL) -> bool:
     """p(a, b | x, x) = 0 whenever a != b."""
     if not validate(d, tol):
         raise InvalidDensity("classification requires a valid density")
-    _require_square(d)
-    k = d.kA
-    off = ~np.eye(k, dtype=bool)
-    worst = max(float(d.p[x, x][off].max()) for x in range(d.nA)) if k > 1 else 0.0
-    return worst <= tol
+    return _synchronous(d, tol)
 
 
 def is_bisynchronous_density(d: Density, tol: float = DEFAULT_TOL) -> bool:
     """Synchronous, and p(a, a | x, y) = 0 whenever x != y."""
-    if not is_synchronous_density(d, tol):
+    if not validate(d, tol):
+        raise InvalidDensity("classification requires a valid density")
+    return _bisynchronous(d, tol)
+
+
+def _synchronous(d: Density, tol: float) -> bool:
+    """is_synchronous_density for a density already validated."""
+    _require_square(d)
+    same_input = d.p[np.arange(d.nA), np.arange(d.nA)]   # [x, a, b] at y = x
+    return float(same_input[:, ~np.eye(d.kA, dtype=bool)].max(initial=0.0)) <= tol
+
+
+def _bisynchronous(d: Density, tol: float) -> bool:
+    """is_bisynchronous_density for a density already validated."""
+    if not _synchronous(d, tol):
         return False
-    n = d.nA
-    worst = 0.0
-    for x in range(n):
-        for y in range(n):
-            if x != y:
-                worst = max(worst, float(d.p[x, y].diagonal().max()))
-    return worst <= tol
+    same_output = np.einsum("xyaa->xya", d.p)[~np.eye(d.nA, dtype=bool)]
+    return float(same_output.max(initial=0.0)) <= tol
 
 
 def is_perfect_for(g: Game, d: Density, tol: float = DEFAULT_TOL) -> bool:
@@ -440,7 +445,7 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
         raise PreconditionFailed("density must be valid")
     if not d.square or d.nA != d.kA:
         raise PreconditionFailed("need n inputs and n outputs for both players")
-    if not is_bisynchronous_density(d, tol):
+    if not _bisynchronous(d, tol):
         raise PreconditionFailed("density must be bisynchronous")
     n = d.nA
     if n > _FACTORIAL_GUARD:
@@ -460,8 +465,7 @@ def local_sync_membership(d: Density, tol: float = DEFAULT_TOL):
     """
     if not validate(d, tol):
         raise PreconditionFailed("density must be valid")
-    _require_square(d)
-    if not is_synchronous_density(d, tol):
+    if not _synchronous(d, tol):
         raise PreconditionFailed("density must be synchronous")
     n, k = d.nA, d.kA
     if k ** n > _RESPONSE_GUARD:

@@ -99,8 +99,6 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
 def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff the Hermitian matrix ``a`` has min eigenvalue >= -tol * max(1, |a|_max)."""
     a = as_cmatrix(a)
-    if not is_hermitian(a, tol):
-        raise NotHermitian("positive semidefiniteness requires a Hermitian matrix")
     w = hermitian_eig(a, tol).eigenvalues
     return bool(w[0] >= -tol * max(1.0, norm_max(a)))
 
@@ -117,11 +115,12 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the right nullspace of ``m``, one vector per row.
 
     Singular values at or below ``tol * max(1, sigma_max)`` count as zero.
+    Only wide input needs the full V*; for tall input no square U is built.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.size == 0 or m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj()

@@ -40,14 +40,15 @@ class ProjectiveSystem:
 
     ``grids[i]`` has shape (n, k, d_i, d_i); ``weights[i]`` is the trace
     weight of block i.  Weights are positive and sum to one so the
-    induced trace is a faithful state.
+    induced trace is a faithful state.  The grids are private read-only
+    copies, so a pass of :func:`verify_system` stays true and is remembered.
     """
 
     grids: tuple
     weights: tuple
 
     def __post_init__(self):
-        grids = tuple(np.asarray(g, dtype=np.complex128) for g in self.grids)
+        grids = tuple(np.array(g, dtype=np.complex128) for g in self.grids)
         weights = tuple(float(w) for w in self.weights)
         if not grids or len(grids) != len(weights):
             raise BadInput("need one weight per ancilla block")
@@ -55,10 +56,16 @@ class ProjectiveSystem:
         for g in grids:
             if g.ndim != 4 or g.shape[:2] != (n, k) or g.shape[2] != g.shape[3]:
                 raise BadInput("each block must be an (n, k, d, d) array")
+            g.flags.writeable = False
         if min(weights) <= 0 or abs(sum(weights) - 1.0) > 1e-9:
             raise BadInput("block weights must be positive and sum to one")
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_verified_tol", None)  # least tol verify_system passed at
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __post_init__: fresh frozen grids, no memo
+        return ProjectiveSystem, (self.grids, self.weights)
 
     @property
     def n(self) -> int:
@@ -97,39 +104,39 @@ def big_matrices(sys: ProjectiveSystem) -> list[np.ndarray]:
 
 
 def verify_system(sys: ProjectiveSystem, tol: float = DEFAULT_TOL) -> Report:
-    """Check all defining relations; the report carries one line per relation."""
+    """Check all defining relations; the report carries one line per relation.
+
+    A pass is remembered on ``sys``: :func:`ensure_verified` at this or a
+    looser ``tol`` does not verify again.
+    """
     n, k = sys.n, sys.k
     rep = Report("qperm verify")
 
-    proj_dev, proj_wit = 0.0, None
-    row_dev = col_orth_dev = row_orth_dev = 0.0
-    pa_proj_dev = pa_sum_dev = 0.0
-    for bi, g in enumerate(sys.grids):
-        d = g.shape[2]
-        eye = np.eye(d)
-        for x in range(n):
-            for a in range(k):
-                e = g[x, a]
-                dev = max(norm_max(e - dagger(e)), norm_max(e @ e - e))
-                if dev > proj_dev:
-                    proj_dev, proj_wit = dev, f"block {bi}, E[x={x},a={a}]"
-        for x in range(n):
-            row_dev = max(row_dev, norm_max(g[x].sum(axis=0) - eye))
-            for a in range(k):
-                for b in range(a + 1, k):
-                    row_orth_dev = max(row_orth_dev, norm_max(g[x, a] @ g[x, b]))
-        for a in range(k):
-            for x in range(n):
-                for y in range(x + 1, n):
-                    col_orth_dev = max(col_orth_dev, norm_max(g[x, a] @ g[y, a]))
-        p_ops = g.sum(axis=0)  # p_a = sum_x E[x, a]
-        for a in range(k):
-            pa = p_ops[a]
-            pa_proj_dev = max(pa_proj_dev,
-                              norm_max(pa - dagger(pa)), norm_max(pa @ pa - pa))
-        pa_sum_dev = max(pa_sum_dev, norm_max(p_ops.sum(axis=0) - n * eye))
+    def dev(stack):
+        return float(np.abs(stack).max(initial=0.0))
 
-    rep.add("projections", proj_dev <= tol, proj_dev, proj_wit)
+    def adj(stack):
+        return np.conj(stack).swapaxes(-1, -2)
+
+    proj = np.array([np.maximum(np.abs(g - adj(g)).max(axis=(2, 3)),
+                                np.abs(g @ g - g).max(axis=(2, 3))) for g in sys.grids])
+    proj_dev = float(proj.max())
+    wb, wx, wa = np.unravel_index(int(proj.argmax()), proj.shape)  # first maximum
+    ra, rb = np.triu_indices(k, 1)
+    cx, cy = np.triu_indices(n, 1)
+    row_dev = row_orth_dev = col_orth_dev = pa_proj_dev = pa_sum_dev = col_dev = 0.0
+    for g in sys.grids:
+        eye = np.eye(g.shape[2])
+        p_ops = g.sum(axis=0)  # p_a = sum_x E[x, a]
+        row_dev = max(row_dev, dev(g.sum(axis=1) - eye))
+        row_orth_dev = max(row_orth_dev, dev(g[:, ra] @ g[:, rb]))
+        col_orth_dev = max(col_orth_dev, dev(g[cx] @ g[cy]))
+        pa_proj_dev = max(pa_proj_dev, dev(p_ops - adj(p_ops)), dev(p_ops @ p_ops - p_ops))
+        pa_sum_dev = max(pa_sum_dev, dev(p_ops.sum(axis=0) - n * eye))
+        col_dev = max(col_dev, *(dev(g[:, a].sum(axis=0) - eye) for a in range(k)))
+
+    rep.add("projections", proj_dev <= tol, proj_dev,
+            f"block {wb}, E[x={wx},a={wa}]" if proj_dev > 0 else None)
     rep.add("row_sums", row_dev <= tol, row_dev)
     rep.add("row_orthogonality", row_orth_dev <= tol, row_orth_dev)
     rep.add("column_orthogonality", col_orth_dev <= tol, col_orth_dev)
@@ -138,23 +145,21 @@ def verify_system(sys: ProjectiveSystem, tol: float = DEFAULT_TOL) -> Report:
     rep.add("input_output_bound", n <= k, float(max(0, n - k)),
             None if n <= k else f"n = {n} > k = {k}")
     if n == k:
-        col_dev = 0.0
         unit_dev = 0.0
-        for g, big in zip(sys.grids, big_matrices(sys)):
-            d = g.shape[2]
-            eye = np.eye(d)
-            for a in range(k):
-                col_dev = max(col_dev, norm_max(g[:, a].sum(axis=0) - eye))
-            eye_big = np.eye(n * d)
-            unit_dev = max(unit_dev,
-                           norm_max(dagger(big) @ big - eye_big),
+        for big in big_matrices(sys):
+            eye_big = np.eye(big.shape[0])
+            unit_dev = max(unit_dev, norm_max(dagger(big) @ big - eye_big),
                            norm_max(big @ dagger(big) - eye_big))
         rep.add("column_sums", col_dev <= tol, col_dev)
         rep.add("unitarity", unit_dev <= tol, unit_dev)
+    if rep.passed and (sys._verified_tol is None or tol < sys._verified_tol):
+        object.__setattr__(sys, "_verified_tol", tol)
     return rep
 
 
 def ensure_verified(sys: ProjectiveSystem, tol: float = DEFAULT_TOL) -> None:
+    if sys._verified_tol is not None and tol >= sys._verified_tol:
+        return
     rep = verify_system(sys, tol)
     if not rep.passed:
         raise UnverifiedSystem(f"system fails: {', '.join(rep.failed_names())}")
@@ -294,22 +299,6 @@ def intertwines(sys: QuantumPermutation, g: Graph, h: Graph,
     return True
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 @dataclass(frozen=True)
 class PatternPartition:
     """Partition of matrix positions forced equal by the system.
@@ -331,8 +320,8 @@ def fixed_pattern_basis(sys: QuantumPermutation,
     Positions (i, j) and (k, l) are linked when E[i, k] E[j, l] is
     nonzero in some ancilla block; the link test is symmetrized (the two
     product orders vanish together for exact projections) and closed
-    transitively by union-find.  Products with max-norm within a factor
-    10 of the threshold are reported as warnings.
+    transitively into connected components.  Products with max-norm
+    within a factor 10 of the threshold are reported as warnings.
     """
     n = sys.n
     if sys.k != n:
@@ -344,31 +333,21 @@ def fixed_pattern_basis(sys: QuantumPermutation,
         norms = np.maximum(norms, np.abs(prod).max(axis=(4, 5)))
     sym = np.maximum(norms, norms.transpose(1, 0, 3, 2))
 
-    warnings = []
-    near = np.argwhere((sym > tol / 10) & (sym < tol * 10))
-    for i, j, k, l in near[:20]:
-        warnings.append(
-            f"|E[{i},{k}] E[{j},{l}]| = {sym[i, j, k, l]:.3e} is near the threshold {tol}")
+    near = np.argwhere((sym > tol / 10) & (sym < tol * 10))[:20]
+    warnings = tuple(f"|E[{i},{k}] E[{j},{l}]| = {sym[i, j, k, l]:.3e} "
+                     f"is near the threshold {tol}" for i, j, k, l in near)
 
-    uf = _UnionFind(n * n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if sym[i, j, k, l] > tol:
-                        uf.union(i * n + j, k * n + l)
-    groups = {}
-    for i in range(n):
-        for j in range(n):
-            groups.setdefault(uf.find(i * n + j), []).append((i, j))
-    classes = tuple(tuple(groups[r]) for r in sorted(groups))
-    basis = []
-    for cls in classes:
-        ind = np.zeros((n, n))
-        for i, j in cls:
-            ind[i, j] = 1.0
-        basis.append(ind)
-    return PatternPartition(classes, tuple(basis), tuple(warnings))
+    # Label each position by the least position linked to it, until stable.
+    linked = sym.reshape(n * n, n * n) > tol
+    linked = linked | linked.T
+    labels, prev = np.arange(n * n), None
+    while prev is None or (labels != prev).any():
+        prev, labels = labels, np.where(linked, labels, labels[:, None]).min(axis=1)
+    roots = np.unique(labels)
+    classes = tuple(tuple(divmod(int(pos), n) for pos in np.flatnonzero(labels == r))
+                    for r in roots)
+    basis = tuple((labels == r).reshape(n, n).astype(float) for r in roots)
+    return PatternPartition(classes, basis, warnings)
 
 
 def commutation_subspace(sys: QuantumPermutation,
@@ -422,10 +401,7 @@ def fix_equivalence_check(sys: QuantumPermutation, p: Density | None = None,
     rep = Report("qperm fixpoints")
 
     s1 = commutation_subspace(sys, tol)
-    m = cpmaps.phi_from_density(induced)
-    s2a = cpmaps.fixed_point_set(m, tol)
-    kraus = cpmaps.kraus_from_choi(m, tol)
-    s2b = linalg.joint_commutant(kraus.operators, tol)
+    s2a, s2b = cpmaps._fixed_point_bases(cpmaps.phi_from_density(induced), tol)
     pattern = fixed_pattern_basis(sys, tol)
     s3 = list(pattern.basis)
 

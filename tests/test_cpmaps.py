@@ -238,3 +238,56 @@ def test_composition_rule(rng):
     mq = cpmaps.phi_from_density(q)
     composed = cpmaps.compose_maps(mq, mp)
     assert np.abs(composed.choi - cpmaps.phi_from_density(r).choi).max() <= 1e-10
+
+
+def _pinned_maps():
+    rng = np.random.default_rng(41)
+    big = rng.normal(size=(3, 3, 3, 3)) * 4.0
+    herm = big + big.transpose(1, 0, 3, 2)      # Hermitian Choi, entries above 1
+    herm[0, 1, 2, 0] += 5e-9                     # within tol * max-norm, beyond tol
+    return ([("identity", cpmaps.identity_map(3)),
+             ("z3", cpmaps.phi_from_density(dn.z3_counterexample())),
+             ("noncp", cpmaps.phi_from_density(dn.noncp_nonsignalling_example())),
+             ("large_entries", cpmaps.choi_from_tensor(herm)),
+             ("large_wide", cpmaps.choi_from_tensor(rng.normal(size=(2, 2, 3, 3)) * 3.0))]
+            + [(f"induced_{i}", cpmaps.phi_from_density(qperm.induced_density(s)))
+               for i, s in enumerate(sample_systems(71, 8))])
+
+
+@pytest.mark.parametrize("name, m", _pinned_maps())
+def test_channel_report_lines_match_predicates_and_deviations(name, m):
+    rep = cpmaps.channel_report(m)
+    c = m.choi
+    p = cpmaps.density_tensor(m)
+    n, k = m.n, m.k
+    herm = c.conj().T
+    if np.abs(c - herm).max() <= 1e-9 * max(1.0, np.abs(c).max()):
+        margin = max(0.0, -np.linalg.eigvalsh((c + herm) / 2).min())
+    else:
+        ev = np.linalg.eigvals(c)
+        margin = np.where(ev.real >= 0, np.abs(ev.imag), np.abs(ev)).max()
+    expected = {
+        "hermiticity_preserving": (cpmaps.is_hermiticity_preserving(m),
+                                   np.abs(c - herm).max()),
+        "completely_positive": (cpmaps.is_cp(m), margin),
+        "trace_preserving": (cpmaps.is_tp(m),
+                             np.abs(np.trace(p, axis1=2, axis2=3) - np.eye(n)).max()),
+        "preserves_entry_sum": (cpmaps.preserves_sigma(m),
+                                np.abs(p.sum(axis=(2, 3)) - 1.0).max()),
+    }
+    if n == k:
+        expected["unital"] = (cpmaps.is_unital(m),
+                              np.abs(sum(p[x, x] for x in range(n)) - np.eye(k)).max())
+        expected["preserves_all_ones"] = (cpmaps.preserves_J(m),
+                                          np.abs(p.sum(axis=(0, 1)) - 1.0).max())
+    assert [ch.name for ch in rep.checks] == [
+        "hermiticity_preserving", "completely_positive", "trace_preserving",
+        *(["unital", "preserves_all_ones"] if n == k else []), "preserves_entry_sum"]
+    for ch in rep.checks:
+        flag, value = expected[ch.name]
+        assert ch.passed == flag, ch.name
+        assert ch.max_violation == pytest.approx(value, rel=1e-9, abs=1e-13), ch.name
+    if name == "large_entries":
+        # the scaled Hermiticity tolerance passes what an unscaled one rejects
+        assert rep.check("hermiticity_preserving").passed
+        assert rep.check("hermiticity_preserving").max_violation > 1e-9

@@ -215,6 +215,30 @@ def test_membership_preconditions():
         dn.local_bisync_membership(big)
 
 
+@pytest.mark.parametrize("decide", [dn.local_bisync_membership, dn.local_sync_membership])
+@pytest.mark.parametrize("flaw", ["negative", "unnormalized"])
+def test_membership_rejects_invalid_density(decide, flaw):
+    p = dn.from_permutation([1, 2, 0]).p.copy()
+    if flaw == "negative":      # still normalized, one entry below -tol
+        p[0, 1, 2, 1] = -1e-3
+        p[0, 1, 2, 0] -= 1e-3
+    else:
+        p[1, 2, 0, 0] += 1e-3
+    d = dn.Density(p)
+    assert not dn.validate(d)
+    with pytest.raises(PreconditionFailed, match="valid"):
+        decide(d)
+
+
+@pytest.mark.parametrize("decide", [dn.local_bisync_membership, dn.local_sync_membership])
+def test_membership_validates_once(decide, monkeypatch):
+    calls = []
+    real = dn.validate
+    monkeypatch.setattr(dn, "validate", lambda d, tol=1e-9: calls.append(tol) or real(d, tol))
+    decide(dn.from_permutation([1, 2, 0]))
+    assert calls == [1e-9]
+
+
 def test_sync_membership_feasible_and_guard(rng):
     funcs = [tuple(rng.integers(0, 2, size=3)) for _ in range(3)]
     w = rng.random(3)

@@ -185,3 +185,43 @@ def test_span_projection_handles_complex_spans():
     assert linalg.residual_outside_span(span, member) < 1e-12
     assert linalg.residual_outside_span(span, member.conj()) > 0.5
     assert linalg.span_containment_residual([member], [member]) < 1e-12
+
+
+def _tall_rank_deficient(rng, rows, cols, rank):
+    left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
+    right = rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+    return left @ right
+
+
+def test_nullspace_of_tall_matrix_matches_full_svd(rng):
+    m = _tall_rank_deficient(rng, 300, 40, 33)
+    _, s, vh = np.linalg.svd(m)          # full matrices: the reference
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    expected = vh[rank:].conj()
+    ns = linalg.nullspace(m)
+    assert ns.shape == expected.shape == (7, 40)
+    assert np.abs(m @ ns.T).max() < 1e-9
+    # same subspace: equal orthogonal projectors
+    assert np.abs(ns.T @ ns.conj() - expected.T @ expected.conj()).max() < 1e-12
+
+
+def test_nullspace_of_tall_matrix_builds_no_square_factor(rng):
+    import tracemalloc
+    m = _tall_rank_deficient(rng, 1024, 64, 60)     # input: 1 MiB
+    tracemalloc.start()
+    try:
+        ns = linalg.nullspace(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ns.shape == (4, 64)
+    # a 1024 x 1024 complex U alone would take 16 MiB
+    assert peak < 4 * 2 ** 20
+
+
+def test_nullspace_of_wide_matrix_keeps_full_basis(rng):
+    m = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
+    ns = linalg.nullspace(m)
+    assert ns.shape == (4, 7)
+    assert np.abs(m @ ns.T).max() < 1e-12
+    assert np.abs(ns.conj() @ ns.T - np.eye(4)).max() < 1e-12

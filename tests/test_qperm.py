@@ -1,9 +1,11 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
-from bisyncgames import cpmaps, densities as dn, games, linalg, qperm
+from bisyncgames import cpmaps, densities as dn, games, linalg, qperm, vect
 from bisyncgames.errors import BadInput, ShapeMismatch, UnverifiedSystem
 
 from conftest import sample_systems
@@ -248,3 +250,182 @@ def test_tau_weights_must_be_positive():
     g[0, 0] = g[1, 1] = 1.0
     with pytest.raises(BadInput):
         qperm.ProjectiveSystem((g, g), (1.0, 0.0))
+
+
+def _broken_block_pair():
+    rng = np.random.default_rng(5)
+    sys = qperm.block_pair(qperm.random_rank1_projection(rng, 2),
+                           qperm.random_rank1_projection(rng, 2))
+    g = np.array(sys.grids[0])
+    g[0, 0] = 0.5 * np.eye(2)
+    return qperm.ProjectiveSystem((g,), sys.weights)
+
+
+_C4 = games.cycle_graph(4)
+_VERIFYING_ENTRY_POINTS = {
+    "induced_density": lambda s: qperm.induced_density(s),
+    "factorizable_apply": lambda s: qperm.factorizable_apply(s, np.eye(4)),
+    "intertwines": lambda s: qperm.intertwines(s, _C4, _C4),
+    "fixed_pattern_basis": lambda s: qperm.fixed_pattern_basis(s),
+    "commutation_subspace": lambda s: qperm.commutation_subspace(s),
+    "fix_equivalence_check": lambda s: qperm.fix_equivalence_check(s),
+    "vect_from_projective": lambda s: vect.vect_from_projective(s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFYING_ENTRY_POINTS))
+def test_verifying_entry_points_reject_broken_system(name):
+    with pytest.raises(UnverifiedSystem):
+        _VERIFYING_ENTRY_POINTS[name](_broken_block_pair())
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFYING_ENTRY_POINTS))
+def test_verifying_entry_points_verify_once(name, monkeypatch):
+    calls = []
+    real = qperm.verify_system
+    monkeypatch.setattr(qperm, "verify_system",
+                        lambda s, tol=1e-9: calls.append(tol) or real(s, tol))
+    sys = qperm.block_pair(np.diag([1.0, 0.0]), qperm.random_rank1_projection(
+        np.random.default_rng(6), 2))
+    _VERIFYING_ENTRY_POINTS[name](sys)
+    assert len(calls) == 1
+    _VERIFYING_ENTRY_POINTS[name](sys)
+    assert len(calls) == 1
+
+
+def test_grids_are_frozen_copies():
+    g = np.zeros((2, 2, 1, 1))
+    g[0, 0] = g[1, 1] = 1.0
+    sys = qperm.ProjectiveSystem((g,), (1.0,))
+    assert not sys.grids[0].flags.writeable
+    assert not np.shares_memory(sys.grids[0], g)
+    with pytest.raises(ValueError):
+        sys.grids[0][0, 0, 0, 0] = 0.0
+    assert qperm.verify_system(sys).passed
+    g[0, 0] = 0.5      # the caller's array, not the system's
+    qperm.ensure_verified(sys, 0.0)
+    assert sys.grids[0][0, 0, 0, 0] == 1.0
+
+
+def test_copies_are_rebuilt_without_the_memo():
+    sys = qperm.from_permutation([1, 0, 2])
+    qperm.ensure_verified(sys)
+    for other in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(pickle.dumps(sys))):
+        assert not other.grids[0].flags.writeable
+        assert other._verified_tol is None
+        assert np.array_equal(other.grids[0], sys.grids[0])
+
+
+def test_pass_at_loose_tol_does_not_excuse_a_stricter_one():
+    g = np.array(qperm.from_permutation([1, 0]).grids[0])
+    g[0, 0] += 1e-7
+    sys = qperm.ProjectiveSystem((g,), (1.0,))
+    qperm.ensure_verified(sys, 1e-5)
+    qperm.ensure_verified(sys, 1e-6)
+    with pytest.raises(UnverifiedSystem):
+        qperm.ensure_verified(sys, 1e-9)
+    with pytest.raises(UnverifiedSystem):
+        qperm.induced_density(sys)
+    assert qperm.induced_density(sys, 1e-5).p.shape == (2, 2, 2, 2)
+
+
+def _verify_by_loops(sys, tol):
+    """verify_system as a loop over (block, x, a, b): the reference for the batched one."""
+    def nm(a):
+        return float(np.abs(a).max())
+
+    n, k = sys.n, sys.k
+    proj_dev, proj_wit = 0.0, None
+    row = row_orth = col_orth = pa_proj = pa_sum = col = unit = 0.0
+    for bi, g in enumerate(sys.grids):
+        eye = np.eye(g.shape[2])
+        for x in range(n):
+            for a in range(k):
+                e = g[x, a]
+                dev = max(nm(e - e.conj().T), nm(e @ e - e))
+                if dev > proj_dev:
+                    proj_dev, proj_wit = dev, f"block {bi}, E[x={x},a={a}]"
+            row = max(row, nm(g[x].sum(axis=0) - eye))
+            for a in range(k):
+                for b in range(a + 1, k):
+                    row_orth = max(row_orth, nm(g[x, a] @ g[x, b]))
+        for a in range(k):
+            for x in range(n):
+                for y in range(x + 1, n):
+                    col_orth = max(col_orth, nm(g[x, a] @ g[y, a]))
+            col = max(col, nm(g[:, a].sum(axis=0) - eye))
+        p_ops = g.sum(axis=0)
+        for a in range(k):
+            pa_proj = max(pa_proj, nm(p_ops[a] - p_ops[a].conj().T),
+                          nm(p_ops[a] @ p_ops[a] - p_ops[a]))
+        pa_sum = max(pa_sum, nm(p_ops.sum(axis=0) - n * eye))
+    out = [("projections", proj_dev, proj_wit), ("row_sums", row, None),
+           ("row_orthogonality", row_orth, None), ("column_orthogonality", col_orth, None),
+           ("column_marginals_projections", pa_proj, None),
+           ("column_marginals_sum", pa_sum, None),
+           ("input_output_bound", float(max(0, n - k)),
+            None if n <= k else f"n = {n} > k = {k}")]
+    if n == k:
+        for big in qperm.big_matrices(sys):
+            eye_big = np.eye(big.shape[0])
+            unit = max(unit, nm(big.conj().T @ big - eye_big), nm(big @ big.conj().T - eye_big))
+        out += [("column_sums", col, None), ("unitarity", unit, None)]
+    return out
+
+
+def _perturbed(sys, rng, scale):
+    grids = tuple(np.array(g) + scale * (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+                  for g in sys.grids)
+    return qperm.ProjectiveSystem(grids, sys.weights)
+
+
+def test_batched_verify_matches_loop_reference():
+    rng = np.random.default_rng(83)
+    systems = sample_systems(83, 12)
+    systems += [_perturbed(s, rng, scale) for s in systems for scale in (1e-12, 1e-6)]
+    rect = np.zeros((2, 3, 2, 2), dtype=complex)
+    rect[0, 0], rect[0, 1], rect[1, 2] = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+    systems += [qperm.ProjectiveSystem((rect,), (1.0,)),
+                qperm.transpose_system(qperm.ProjectiveSystem((rect,), (1.0,)))]
+    for sys in systems:
+        rep = qperm.verify_system(sys)
+        got = [(c.name, c.max_violation, c.witness) for c in rep.checks]
+        assert got == _verify_by_loops(sys, 1e-9)      # bit-identical values and witnesses
+        assert [c.passed for c in rep.checks] == [
+            v <= 1e-9 if name != "input_output_bound" else v == 0 for name, v, _ in got]
+
+
+def _classes_by_union_find(sys, tol):
+    """Position classes of fixed_pattern_basis by union-find: the reference."""
+    n = sys.n
+    norms = np.zeros((n, n, n, n))
+    for g in sys.grids:
+        norms = np.maximum(norms, np.abs(np.einsum("ikab,jlbc->ijklac", g, g)).max(axis=(4, 5)))
+    sym = np.maximum(norms, norms.transpose(1, 0, 3, 2))
+    parent = list(range(n * n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if sym[i, j, k, l] > tol:
+            ri, rj = find(i * n + j), find(k * n + l)
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for pos in range(n * n):
+        groups.setdefault(find(pos), []).append(divmod(pos, n))
+    return tuple(tuple(groups[r]) for r in sorted(groups))
+
+
+def test_pattern_classes_match_union_find_reference():
+    rng = np.random.default_rng(89)
+    for sys in sample_systems(89, 16):
+        for s, tol in ((sys, 1e-9), (_perturbed(sys, rng, 1e-7), 1e-5)):
+            pattern = qperm.fixed_pattern_basis(s, tol)
+            assert pattern.classes == _classes_by_union_find(s, tol)
+            for cls, ind in zip(pattern.classes, pattern.basis):
+                expected = np.zeros((s.n, s.n))
+                expected[tuple(zip(*cls))] = 1.0
+                assert np.array_equal(ind, expected)
