@@ -119,9 +119,10 @@ def _density_check(args):
     if args.cls == "ns":
         rep.add("nonsignalling", densities.is_nonsignalling(d, args.tol))
         return rep, None
-    rep.add("synchronous", densities.is_synchronous_density(d, args.tol))
+    # d is validated above; the private classifiers do not validate again
+    rep.add("synchronous", densities._synchronous(d, args.tol))
     if args.cls == "bisync":
-        rep.add("bisynchronous", densities.is_bisynchronous_density(d, args.tol))
+        rep.add("bisynchronous", densities._bisynchronous(d, args.tol))
     return rep, None
 
 

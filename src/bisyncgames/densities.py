@@ -337,6 +337,14 @@ def _membership_lp(idx, p, options=None):
     the smaller and the larger of its two entries of p.  The optimum is
     that of the LP over all coordinates.
 
+    HiGHS is handed the dual: alpha, beta >= 0 on the two sides of each
+    row, gamma >= 0 on the floor of t and a free mu, maximizing
+    hi . beta - lo . alpha + t_floor gamma + mu subject to
+    sum alpha + sum beta + gamma = 1 and (beta - alpha) . A_j + mu <= 0
+    for every atom j.  Its default dual simplex then runs primal simplex
+    on the membership problem, the shorter path on nonlocal inputs.  The
+    weights lam are the multipliers of the atom constraints.
+
     Returns (t*, lam, y, mu), with the duals mapped back onto every
     coordinate: y . col + mu <= 0 for every atom and y . p + mu = t*.
     Raises :class:`SolverFailed` when HiGHS reports no optimum.
@@ -361,34 +369,34 @@ def _membership_lp(idx, p, options=None):
     worst = missed[np.abs(flat[missed]).argmax()] if missed.size else None
     t_floor = 0.0 if worst is None else abs(float(flat[worst]))
 
-    # A_ub = [[A, -1], [-A, -1]] in CSC form, column by column: atom j
-    # has +1 at its rows and -1 at the same rows of the lower block.
+    # Variables (alpha, beta, gamma, mu).  Atom j's constraint row has
+    # -1 at the alpha and +1 at the beta of each row it hits, and +1 at mu.
     ncols, nrows, per_col = idx.shape[0], rows.size, upper.shape[1]
     r = np.searchsorted(rows, upper)
-    indices = np.concatenate([np.hstack([r, r + nrows]).ravel(), np.arange(2 * nrows)])
-    data = np.concatenate([np.tile(np.repeat([1.0, -1.0], per_col), ncols),
-                           np.full(2 * nrows, -1.0)])
-    indptr = np.append(np.arange(ncols + 1) * 2 * per_col, 2 * (per_col * ncols + nrows))
-    a_ub = scipy.sparse.csc_matrix((data, indices, indptr), shape=(2 * nrows, ncols + 1))
-    a_eq = scipy.sparse.csr_matrix(np.append(np.ones(ncols), 0.0)[None, :])
-    c = np.zeros(ncols + 1)
-    c[-1] = 1.0
-    bounds = np.zeros((ncols + 1, 2))
+    indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)]).ravel()
+    data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), ncols)
+    indptr = np.arange(ncols + 1) * (2 * per_col + 1)
+    a_ub = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ncols, 2 * nrows + 2))
+    a_eq = np.append(np.ones(2 * nrows + 1), 0.0)[None, :]
+    c = np.concatenate([flat[lo], -flat[hi], [-t_floor, -1.0]])   # linprog minimizes
+    bounds = np.zeros((2 * nrows + 2, 2))
     bounds[:, 1] = np.inf
-    bounds[-1, 0] = t_floor
+    bounds[-1, 0] = -np.inf
     res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=np.concatenate([flat[lo], -flat[hi]]), A_eq=a_eq, b_eq=[1.0],
+        c, A_ub=a_ub, b_ub=np.zeros(ncols), A_eq=a_eq, b_eq=[1.0],
         bounds=bounds, method="highs", options=options,
     )
     if res.status != 0:
         raise SolverFailed(f"membership LP failed with HiGHS status {res.status}: "
                            f"{res.message}")
-    marg = res.ineqlin.marginals
-    y = (np.bincount(lo, marg[:nrows], flat.size)
-         - np.bincount(hi, marg[nrows:], flat.size))
+    alpha, beta, (gamma, mu) = res.x[:nrows], res.x[nrows:2 * nrows], res.x[2 * nrows:]
+    y = np.bincount(hi, beta, flat.size) - np.bincount(lo, alpha, flat.size)
     if worst is not None:
-        y[worst] = res.lower.marginals[-1] * np.sign(flat[worst])
-    return float(res.fun), res.x[:ncols], y, float(res.eqlin.marginals[0])
+        y[worst] = gamma * np.sign(flat[worst])
+    # lam is the multipliers of the atom constraints, which HiGHS may
+    # return some 1e-11 below zero
+    lam = np.maximum(-res.ineqlin.marginals, 0.0)
+    return -float(res.fun), lam, y, float(mu)
 
 
 def _polish_mixture(idx, p, lam, support_cut=1e-12):
@@ -411,27 +419,56 @@ def _polish_mixture(idx, p, lam, support_cut=1e-12):
 
 def _decide_membership(atoms, d, tol, wrap, atom_family):
     """Solve, then check: a mixture is returned only if it reproduces ``d``
-    within ``tol`` on every coordinate.  When the LP claims t* <= tol but
-    the polished mixture misses by more, the LP is solved once more with
-    tight HiGHS tolerances (the density then sits within solver
-    precision of the polytope's boundary)."""
+    within ``tol`` on every coordinate, and a certificate only if it
+    separates ``d`` by more than ``tol`` once its offset is set from its
+    maximum over every atom.
+
+    The atoms whose coordinates all carry more than ``tol`` of ``p`` are
+    tried first.  An atom of weight w in a mixture within ``tol`` of ``p``
+    has p >= w - tol on each of its coordinates, so every atom carrying
+    more than 2 tol passes.  A mixture found there is checked like any
+    other; otherwise, and for every nonlocal verdict, the LP over all
+    atoms decides.  When that LP leaves the density unsettled (a mixture
+    that misses, or a certificate that does not separate by more than
+    ``tol``), it is solved once more with tight HiGHS tolerances (the
+    density then sits within solver precision of the polytope's
+    boundary)."""
     k = d.kA
+    flat = d.p.reshape(-1)
     idx = _atom_coordinates(atoms, k)
+
+    def checked_mixture(cand_atoms, cand_idx, lam):
+        support, weights = _polish_mixture(cand_idx, d.p, lam)
+        kept = cand_atoms[support]
+        err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
+        return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
+
+    keep = np.flatnonzero(flat[idx].min(axis=1) > tol)
+    if 0 < keep.size < len(atoms):
+        t_star, lam, _, _ = _membership_lp(idx[keep], d.p)
+        if t_star <= tol:
+            found, _ = checked_mixture(atoms[keep], idx[keep], lam)
+            if found is not None:
+                return found
     for options in (None, _TIGHT_LP):
-        t_star, lam, y, mu = _membership_lp(idx, d.p, options)
+        t_star, lam, y, _ = _membership_lp(idx, d.p, options)
         if t_star > tol:
-            resid = np.abs(_atom_mixture(atoms, lam, k) - d.p)
-            x, yy, aa, bb = np.unravel_index(int(resid.argmax()), d.p.shape)
-            witness = (f"p(a={aa},b={bb}|x={x},y={yy}): residual {resid.max():.3e} "
-                       f"at the closest mixture")
-            return Infeasible(t_star, y, mu, witness, atom_family)
-        support, weights = _polish_mixture(idx, d.p, lam)
-        err = float(np.abs(_atom_mixture(atoms[support], weights, k) - d.p).max())
-        if err <= tol:
-            return wrap(weights, tuple(map(tuple, atoms[support].tolist())))
-    raise SolverFailed(f"the LP puts the density within t* = {t_star:.3e} of the "
-                       f"local polytope, but the closest mixture found is {err:.3e} "
-                       f"away (tol {tol:g})")
+            offset = -float(y[idx].sum(axis=1).max())
+            violation = float(y @ flat) + offset
+            if violation > tol:
+                resid = np.abs(_atom_mixture(atoms, lam, k) - d.p)
+                x, yy, aa, bb = np.unravel_index(int(resid.argmax()), d.p.shape)
+                witness = (f"p(a={aa},b={bb}|x={x},y={yy}): residual {resid.max():.3e} "
+                           f"at the closest mixture")
+                return Infeasible(violation, y, offset, witness, atom_family)
+            gap = f"its certificate separates by only {violation:.3e}"
+            continue
+        found, err = checked_mixture(atoms, idx, lam)
+        if found is not None:
+            return found
+        gap = f"the closest mixture found is {err:.3e} away"
+    raise SolverFailed(f"the LP puts the density t* = {t_star:.3e} from the local "
+                       f"polytope, but {gap} (tol {tol:g})")
 
 
 def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):

@@ -43,10 +43,6 @@ def vec(a) -> np.ndarray:
     return np.asarray(a).reshape(-1)
 
 
-def unvec(v, shape) -> np.ndarray:
-    return np.asarray(v).reshape(shape)
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product: block (i, j) of the result equals a[i, j] * b."""
     return np.kron(as_cmatrix(a), as_cmatrix(b))

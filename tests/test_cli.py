@@ -182,6 +182,18 @@ def test_map_fixpoints_rejects_non_channel(z3_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("cls", ["sync", "bisync"])
+def test_density_check_validates_once(cls, z3_path, monkeypatch):
+    calls = []
+    real = dn.validation_report
+    monkeypatch.setattr(dn, "validation_report",
+                        lambda d, tol=1e-9: calls.append(tol) or real(d, tol))
+    code, rep = run_cli(["density", "check", "--class", cls, "--in", z3_path])
+    assert code == 0
+    assert rep["pass"]
+    assert calls == [1e-9]
+
+
 def test_deterministic_reports(z3_path):
     def raw(args):
         buf = io.StringIO()

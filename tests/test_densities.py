@@ -419,8 +419,14 @@ def test_reduced_lp_matches_full_row_reference(kind, n, k, seed, s):
     atoms = dn._all_atoms(family, n, kk)
     # both sides at the tight tolerances: near the boundary the default
     # ones leave t* uncertain by ~1e-8
-    t_star, _, _, _ = dn._membership_lp(dn._atom_coordinates(atoms, kk), d.p, dn._TIGHT_LP)
+    idx = dn._atom_coordinates(atoms, kk)
+    t_star, lam, y, mu = dn._membership_lp(idx, d.p, dn._TIGHT_LP)
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, kk), abs=1e-9)
+    # the weights and the functional returned by the dual posing
+    assert lam.min() >= -1e-12
+    assert lam.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (y[idx].sum(axis=1) + mu).max() <= 1e-9
+    assert float(y @ d.p.reshape(-1)) + mu == pytest.approx(t_star, abs=1e-9)
     if family == "responses":
         res = dn.local_sync_membership(d)
         rebuild = dn.response_mixture_density
@@ -433,3 +439,68 @@ def test_reduced_lp_matches_full_row_reference(kind, n, k, seed, s):
         assert at_d == pytest.approx(res.violation, abs=1e-9)
     else:
         assert np.abs(rebuild(res).p - d.p).max() <= dn.DEFAULT_TOL
+
+
+# ---------------------------------------------------------------------------
+# Candidate atoms first: the atoms whose coordinates all carry more than tol
+
+
+def spy_linprog(monkeypatch):
+    """Record the number of constraint rows and of variables of every LP."""
+    calls = []
+    real = scipy.optimize.linprog
+
+    def spy(c, A_ub=None, *args, **kwargs):
+        calls.append((A_ub.shape[0], len(c)))
+        return real(c, A_ub, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return calls
+
+
+def random_permutation_mixture(rng, n, m):
+    perms = [rng.permutation(n) for _ in range(m)]
+    w = rng.dirichlet(np.ones(m))
+    return dn.mixture([dn.from_permutation(s) for s in perms], w)
+
+
+def test_sparse_local_mixture_poses_only_candidate_atoms(monkeypatch):
+    d = random_permutation_mixture(np.random.default_rng(7), 7, 6)
+    calls = spy_linprog(monkeypatch)
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.PermutationMixture)
+    assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
+    atoms = dn._all_atoms("permutations", 7, 7)
+    dn._membership_lp(dn._atom_coordinates(atoms, 7), d.p)
+    (cand_atoms, cand_vars), (all_atoms, all_vars) = calls
+    assert all_atoms == math.factorial(7)
+    assert 6 <= cand_atoms < all_atoms
+    assert cand_vars < all_vars
+
+
+@pytest.mark.parametrize("eps", [1e-10, 5e-10, 2e-9, 1e-8])
+def test_mixture_with_an_atom_near_tol_is_local(eps):
+    rng = np.random.default_rng(11)
+    n = 5
+    base = random_permutation_mixture(rng, n, 4)
+    extra = dn.from_permutation(rng.permutation(n))
+    d = dn.Density((1 - eps) * base.p + eps * extra.p)
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.PermutationMixture)
+    assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
+
+
+def test_nonlocal_with_candidate_atoms_gets_an_exact_certificate():
+    n = 6
+    mix = random_permutation_mixture(np.random.default_rng(7), n, 6)
+    d = dn.Density(0.9 * mix.p + 0.1 * cyclic_density(n, n))
+    idx = dn._atom_coordinates(dn._all_atoms("permutations", n, n), n)
+    candidates = int((d.p.reshape(-1)[idx].min(axis=1) > dn.DEFAULT_TOL).sum())
+    assert 0 < candidates < math.factorial(n)
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.Infeasible)
+    on_polytope, at_d = dn.separation_margins(d, res)
+    # the offset is minus the functional's maximum over the same atoms
+    assert on_polytope <= 0.0
+    assert at_d == pytest.approx(res.violation, abs=1e-12)
+    assert res.violation > dn.DEFAULT_TOL
