@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import cpmaps, densities, games, qperm, serialize, vect
-from .errors import BisyncError, NotCP, UnverifiedSystem
+from .errors import BisyncError, NotCP, NotUnitalChannel, UnverifiedSystem
 from .linalg import DEFAULT_TOL
 from .report import Report
 
@@ -294,12 +294,12 @@ def _map_fixpoints(args):
     d = serialize.density_from_dict(serialize.load_json(args.inp))
     m = cpmaps.phi_from_density(d, args.tol)
     rep = Report("map fixpoints")
-    unital_channel = (m.n == m.k and cpmaps.is_cp(m, args.tol)
-                      and cpmaps.is_tp(m, args.tol) and cpmaps.is_unital(m, args.tol))
-    rep.add("unital_channel", unital_channel)
-    if not unital_channel:
+    try:
+        basis = cpmaps.fixed_point_set(m, args.tol)
+    except NotUnitalChannel:
+        rep.add("unital_channel", False)
         return rep, None
-    basis = cpmaps.fixed_point_set(m, args.tol)
+    rep.add("unital_channel", True)
     art = {"dimension": len(basis),
            "basis": [serialize.matrix_to_dict(b) for b in basis]}
     return rep, art

@@ -28,17 +28,31 @@ from .report import Report
 
 @dataclass(frozen=True)
 class ChoiMap:
-    """Choi matrix of a linear map from n x n to k x k matrices."""
+    """Choi matrix of a linear map from n x n to k x k matrices, kept as a
+    private read-only copy so that it is diagonalized at most once."""
 
     n: int
     k: int
     choi: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.choi, dtype=np.complex128)
+        c = np.array(self.choi, dtype=np.complex128)
         if c.shape != (self.n * self.k, self.n * self.k):
             raise ShapeMismatch("Choi matrix must be (n k) x (n k)")
+        c.flags.writeable = False
         object.__setattr__(self, "choi", c)
+        object.__setattr__(self, "_eig", None)  # see _choi_eig
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __post_init__: a fresh frozen copy, no cache
+        return ChoiMap, (self.n, self.k, self.choi)
+
+
+def _choi_eig(m: ChoiMap) -> linalg.HermEig:
+    """hermitian_eig of the Choi matrix, cached; callers check Hermiticity at their own tol."""
+    if m._eig is None:
+        object.__setattr__(m, "_eig", linalg.hermitian_eig(m.choi, np.inf))
+    return m._eig
 
 
 def phi_from_density(d: Density, tol: float = DEFAULT_TOL) -> ChoiMap:
@@ -52,8 +66,7 @@ def phi_from_density(d: Density, tol: float = DEFAULT_TOL) -> ChoiMap:
     if not d.square:
         raise ShapeMismatch("need nA = nB and kA = kB")
     n, k = d.nA, d.kA
-    choi = d.p.transpose(0, 2, 1, 3).reshape(n * k, n * k)
-    return ChoiMap(n, k, choi.astype(np.complex128))
+    return ChoiMap(n, k, d.p.transpose(0, 2, 1, 3).reshape(n * k, n * k))
 
 
 def choi_from_tensor(p: np.ndarray) -> ChoiMap:
@@ -129,10 +142,8 @@ def is_hermiticity_preserving(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
 
 def is_cp(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity: the Choi matrix is positive semidefinite."""
-    try:
-        return linalg.is_psd(m.choi, tol)
-    except NotHermitian:
-        return False
+    return (linalg.is_hermitian(m.choi, tol)
+            and bool(_choi_eig(m).eigenvalues[0] >= -tol * max(1.0, norm_max(m.choi))))
 
 
 def is_tp(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
@@ -163,21 +174,18 @@ def noncp_spectral_margin(m: ChoiMap) -> float:
     any (complex) eigenvalue from the set of nonnegative reals.  Any
     positive value certifies the map is not completely positive.
     """
-    c = m.choi
-    if linalg.is_hermitian(c, DEFAULT_TOL * max(1.0, norm_max(c))):
-        w = np.linalg.eigvalsh(0.5 * (c + dagger(c)))
-        return float(max(0.0, -w.min()))
-    ev = np.linalg.eigvals(c)
+    if is_hermiticity_preserving(m):
+        return float(max(0.0, -_choi_eig(m).eigenvalues[0]))
+    ev = np.linalg.eigvals(m.choi)
     dist = np.where(ev.real >= 0, np.abs(ev.imag), np.abs(ev))
     return float(dist.max())
 
 
 def min_choi_eigenvalue(m: ChoiMap) -> float:
     """Least eigenvalue of the Choi matrix (requires Hermiticity)."""
-    c = m.choi
-    if not linalg.is_hermitian(c, DEFAULT_TOL * max(1.0, norm_max(c))):
+    if not is_hermiticity_preserving(m):
         raise NotHermitian("Choi matrix is not Hermitian; see noncp_spectral_margin")
-    return float(np.linalg.eigvalsh(0.5 * (c + dagger(c)))[0])
+    return float(_choi_eig(m).eigenvalues[0])
 
 
 def channel_report(m: ChoiMap, tol: float = DEFAULT_TOL) -> Report:
@@ -225,22 +233,13 @@ def kraus_from_choi(m: ChoiMap, tol: float = DEFAULT_TOL) -> KrausSet:
     contribute one operator each; orthogonality of eigenvectors makes
     the operators linearly independent.
     """
-    try:
-        eig = linalg.hermitian_eig(m.choi, tol)
-    except NotHermitian:
-        eig = None
-    if eig is None or not eig.eigenvalues[0] >= -tol * max(1.0, norm_max(m.choi)):
+    if not is_cp(m, tol):
         raise NotCP("Kraus extraction requires a completely positive map")
-    top = max(float(eig.eigenvalues[-1]), 0.0)
-    cutoff = tol * max(top, 1.0)
-    ops = []
-    for lam, vecr in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if lam > cutoff:
-            v = np.sqrt(lam) * vecr
-            ops.append(np.conj(v.reshape(m.n, m.k)))
-    if not ops:
-        ops.append(np.zeros((m.n, m.k), dtype=np.complex128))
-    kraus = KrausSet(tuple(ops))
+    eig = _choi_eig(m)
+    lam = eig.eigenvalues
+    keep = lam > tol * max(float(lam[-1]), 1.0)
+    ops = np.conj(np.sqrt(lam[keep]) * eig.eigenvectors[:, keep]).T.reshape(-1, m.n, m.k)
+    kraus = KrausSet(tuple(ops) or (np.zeros((m.n, m.k), dtype=np.complex128),))
     worst = norm_max(choi_from_kraus(kraus, m.n, m.k).choi - m.choi)
     if worst > 1e-7 * max(1.0, norm_max(m.choi)):
         raise InternalMismatch(f"Kraus form deviates from the map by {worst}")
@@ -248,12 +247,11 @@ def kraus_from_choi(m: ChoiMap, tol: float = DEFAULT_TOL) -> KrausSet:
 
 
 def choi_from_kraus(ks: KrausSet, n: int, k: int) -> ChoiMap:
-    p = np.zeros((n, n, k, k), dtype=np.complex128)
-    basis = np.eye(n)
-    for x in range(n):
-        for y in range(n):
-            p[x, y] = ks.apply(np.outer(basis[x], basis[y]))
-    return choi_from_tensor(p)
+    """C[(x, a), (y, b)] = sum_i conj(K_i[x, a]) K_i[y, b], for operators K_i of shape n x k."""
+    if any(op.shape != (n, k) for op in ks.operators):
+        raise ShapeMismatch(f"Kraus operators must be {n} x {k}")
+    ops = np.reshape(ks.operators, (-1, n, k))
+    return ChoiMap(n, k, np.einsum("ixa,iyb->xayb", ops.conj(), ops).reshape(n * k, n * k))
 
 
 def fixed_point_set(m: ChoiMap, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

@@ -205,14 +205,20 @@ def from_response_function(f, k: int) -> Density:
     return Density(_atom_mixture([f], [1.0], k))
 
 
+def _convex_weights(weights, count: int, what: str) -> np.ndarray:
+    """The weights as floats; BadWeights unless one per item, nonnegative and summing to one."""
+    w = np.asarray(weights, dtype=float)
+    if w.size != count or w.size == 0:
+        raise BadWeights(f"need one weight per {what}")
+    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
+        raise BadWeights("weights must be nonnegative and sum to one")
+    return w
+
+
 def mixture(ds, weights) -> Density:
     """Entrywise convex combination of densities of equal shape."""
     ds = list(ds)
-    w = np.asarray(list(weights), dtype=float)
-    if len(ds) == 0 or len(ds) != w.size:
-        raise BadWeights("need one weight per density")
-    if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
-        raise BadWeights("weights must be nonnegative and sum to one")
+    w = _convex_weights(list(weights), len(ds), "density")
     shape = ds[0].p.shape
     if any(d.p.shape != shape for d in ds):
         raise ShapeMismatch("all densities must share a shape")
@@ -271,12 +277,8 @@ class PermutationMixture:
     permutations: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
         perms = tuple(tuple(int(v) for v in s) for s in self.permutations)
-        if w.size != len(perms) or w.size == 0:
-            raise BadWeights("need one weight per permutation")
-        if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
-            raise BadWeights("weights must be nonnegative and sum to one")
+        w = _convex_weights(self.weights, len(perms), "permutation")
         n = len(perms[0])
         for s in perms:
             if sorted(s) != list(range(n)):
@@ -300,6 +302,15 @@ class ResponseMixture:
     weights: np.ndarray
     functions: tuple
     k: int
+
+    def __post_init__(self):
+        funcs = tuple(tuple(int(v) for v in f) for f in self.functions)
+        w = _convex_weights(self.weights, len(funcs), "function")
+        n, k = len(funcs[0]), self.k
+        if any(len(f) != n or not all(0 <= v < k for v in f) for f in funcs):
+            raise ShapeMismatch(f"each function must map 0..{n - 1} into 0..{k - 1}")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "functions", funcs)
 
 
 def response_mixture_density(mix: ResponseMixture) -> Density:

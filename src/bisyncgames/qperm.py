@@ -180,10 +180,7 @@ def from_permutation(sigma) -> QuantumPermutation:
     n = len(sigma)
     if sorted(sigma) != list(range(n)):
         raise BadInput(f"{sigma} is not a permutation of 0..{n - 1}")
-    g = np.zeros((n, n, 1, 1), dtype=np.complex128)
-    for x in range(n):
-        g[x, sigma[x], 0, 0] = 1.0
-    return ProjectiveSystem((g,), (1.0,))
+    return ProjectiveSystem((np.eye(n)[sigma].reshape(n, n, 1, 1),), (1.0,))
 
 
 def direct_sum(u1: ProjectiveSystem, u2: ProjectiveSystem,

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Density
-from .errors import NegativeEntry, NonRealGram, PreconditionFailed, ShapeMismatch
+from .errors import (
+    NegativeEntry,
+    NonRealGram,
+    NotBijective,
+    PreconditionFailed,
+    ShapeMismatch,
+)
 from .linalg import DEFAULT_TOL
 from .qperm import ProjectiveSystem, ensure_verified
 from .report import Report
@@ -146,7 +152,6 @@ def permutation_strategy(sigma) -> VectorStrategy:
     """Canonical one-dimensional witness of a classical permutation."""
     sigma = list(sigma)
     n = len(sigma)
-    v = np.zeros((n, n, 1), dtype=np.complex128)
-    for x in range(n):
-        v[x, sigma[x], 0] = 1.0
-    return VectorStrategy(v)
+    if sorted(sigma) != list(range(n)):
+        raise NotBijective(f"{sigma} is not a permutation of 0..{n - 1}")
+    return VectorStrategy(np.eye(n)[sigma][:, :, None])

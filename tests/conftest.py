@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,17 @@ def sample_systems(seed, count):
     kinds = ("classical", "block_pair", "direct_sum", "conjugate")
     return [qperm.random_quantum_permutation(rng, kind=kinds[i % 4])
             for i in range(count)]
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap ``module.<name>`` for each name; the returned Counter counts the calls."""
+    calls = Counter()
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from bisyncgames import cli, densities as dn, games, qperm, serialize
+from bisyncgames import cli, cpmaps, densities as dn, games, qperm, serialize
+
+from conftest import count_calls
 
 
 def run_cli(args):
@@ -180,6 +183,37 @@ def test_map_kraus_rejects_noncp(z3_path):
 def test_map_fixpoints_rejects_non_channel(z3_path):
     code, rep = run_cli(["map", "fixpoints", "--in", z3_path])
     assert code == 1
+    assert [(c["name"], c["pass"]) for c in rep["checks"]] == [("unital_channel", False)]
+
+
+def test_map_fixpoints_rejects_noncp_example(tmp_path):
+    path = tmp_path / "noncp.json"
+    serialize.dump_json(serialize.density_to_dict(dn.noncp_nonsignalling_example()), str(path))
+    code, rep = run_cli(["map", "fixpoints", "--in", str(path)])
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in rep["checks"]] == [("unital_channel", False)]
+    assert "artifacts" not in rep
+
+
+@pytest.fixture
+def induced_path(tmp_path):
+    rng = np.random.default_rng(5)
+    sys = qperm.block_pair(qperm.random_rank1_projection(rng, 2),
+                           qperm.random_rank1_projection(rng, 2))
+    path = tmp_path / "induced.json"
+    serialize.dump_json(serialize.density_to_dict(qperm.induced_density(sys)), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("action", ["check", "kraus", "fixpoints"])
+def test_map_commands_diagonalize_once(action, induced_path, monkeypatch):
+    eig = count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    preds = count_calls(monkeypatch, cpmaps, ("is_tp", "is_unital"))
+    code, rep = run_cli(["map", action, "--in", induced_path])
+    assert code == 0
+    assert eig == Counter(eigh=1)
+    if action == "fixpoints":
+        assert preds == Counter(is_tp=1, is_unital=1)
 
 
 @pytest.mark.parametrize("cls", ["sync", "bisync"])

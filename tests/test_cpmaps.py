@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bisyncgames import cpmaps, densities as dn, qperm
+from bisyncgames import cpmaps, densities as dn, linalg, qperm
 from bisyncgames.errors import (
     InvalidDensity,
     NotCP,
@@ -12,13 +15,22 @@ from bisyncgames.errors import (
     ShapeMismatch,
 )
 
-from conftest import sample_systems
+from conftest import count_calls, sample_systems
 
 
 def unit(i, j, d):
     e = np.zeros((d, d), dtype=complex)
     e[i, j] = 1.0
     return e
+
+
+def choi_from_kraus_loop(ks, n, k):
+    """Reference: apply the Kraus form to every matrix unit E_xy."""
+    p = np.zeros((n, n, k, k), dtype=complex)
+    for x in range(n):
+        for y in range(n):
+            p[x, y] = ks.apply(unit(x, y, n))
+    return cpmaps.choi_from_tensor(p)
 
 
 def cyclic_shift(n):
@@ -254,6 +266,18 @@ def _pinned_maps():
                for i, s in enumerate(sample_systems(71, 8))])
 
 
+@pytest.mark.parametrize("name, m", [(name, m) for name, m in _pinned_maps() if cpmaps.is_cp(m)])
+def test_kraus_operators_match_eigenpair_loop(name, m):
+    eig = linalg.hermitian_eig(m.choi)
+    cutoff = 1e-9 * max(float(eig.eigenvalues[-1]), 1.0)
+    ref = [np.conj((np.sqrt(lam) * v).reshape(m.n, m.k))
+           for lam, v in zip(eig.eigenvalues, eig.eigenvectors.T) if lam > cutoff]
+    ops = cpmaps.kraus_from_choi(m).operators
+    assert len(ops) == len(ref)
+    for op, r in zip(ops, ref):
+        assert np.array_equal(op, r)
+
+
 @pytest.mark.parametrize("name, m", _pinned_maps())
 def test_channel_report_lines_match_predicates_and_deviations(name, m):
     rep = cpmaps.channel_report(m)
@@ -291,3 +315,56 @@ def test_channel_report_lines_match_predicates_and_deviations(name, m):
         # the scaled Hermiticity tolerance passes what an unscaled one rejects
         assert rep.check("hermiticity_preserving").passed
         assert rep.check("hermiticity_preserving").max_violation > 1e-9
+
+
+@pytest.mark.parametrize("n, k, count", [(3, 3, 1), (2, 4, 3), (4, 2, 5), (1, 3, 2)])
+def test_choi_from_kraus_matches_matrix_unit_loop(rng, n, k, count):
+    ops = [rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)) for _ in range(count)]
+    ks = cpmaps.KrausSet(tuple(ops))
+    fast = cpmaps.choi_from_kraus(ks, n, k)
+    assert (fast.n, fast.k) == (n, k)
+    assert np.abs(fast.choi - choi_from_kraus_loop(ks, n, k).choi).max() <= 1e-13
+
+
+def test_choi_from_kraus_rejects_swapped_shapes(rng):
+    ks = cpmaps.KrausSet((rng.normal(size=(2, 3)),))
+    with pytest.raises(ShapeMismatch):
+        cpmaps.choi_from_kraus(ks, 3, 2)
+
+
+@pytest.mark.parametrize("source", ["induced", "noncp"])
+def test_channel_report_diagonalizes_once(source, monkeypatch):
+    d = (qperm.induced_density(sample_systems(13, 2)[1]) if source == "induced"
+         else dn.noncp_nonsignalling_example())
+    m = cpmaps.phi_from_density(d)
+    calls = count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    rep = cpmaps.channel_report(m)
+    assert rep.check("completely_positive").passed == (source == "induced")
+    cpmaps.min_choi_eigenvalue(m)
+    if source == "induced":
+        cpmaps.kraus_from_choi(m)
+    assert calls == Counter(eigh=1)
+
+
+def test_choi_is_a_frozen_copy():
+    c = cpmaps.identity_map(2).choi.copy()
+    m = cpmaps.ChoiMap(2, 2, c)
+    assert not m.choi.flags.writeable
+    assert not np.shares_memory(m.choi, c)
+    with pytest.raises(ValueError):
+        m.choi[0, 0] = 0.0
+    c[0, 0] = 5.0      # the caller's array, not the map's
+    assert m.choi[0, 0] == 1.0
+    assert cpmaps.is_cp(m)
+
+
+def test_copies_are_rebuilt_without_the_cached_decomposition():
+    m = cpmaps.phi_from_density(dn.noncp_nonsignalling_example())
+    least = cpmaps.min_choi_eigenvalue(m)
+    assert m._eig is not None
+    for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert not other.choi.flags.writeable
+        assert other._eig is None
+        assert (other.n, other.k) == (m.n, m.k)
+        assert np.array_equal(other.choi, m.choi)
+        assert cpmaps.min_choi_eigenvalue(other) == least

@@ -157,6 +157,34 @@ def test_mixture_singleton_and_weights():
         dn.mixture([d, d], [0.7, 0.7])
 
 
+def test_response_mixture_rejects_bad_weights():
+    with pytest.raises(BadWeights):
+        dn.ResponseMixture(np.array([2.0, -1.0]), ((0, 1), (1, 0)), 2)
+    with pytest.raises(BadWeights):
+        dn.ResponseMixture(np.array([1.0]), ((0, 1), (1, 0)), 2)
+
+
+@pytest.mark.parametrize("value", [5, 2, -1])
+def test_response_mixture_rejects_values_outside_the_outputs(value):
+    with pytest.raises(ShapeMismatch):
+        dn.ResponseMixture(np.array([0.5, 0.5]), ((0, 1), (1, value)), 2)
+
+
+def test_weight_bounds_are_shared():
+    d = dn.from_permutation([1, 0])
+    builders = [
+        lambda w: dn.mixture([d, d], w),
+        lambda w: dn.PermutationMixture(w, ((0, 1), (1, 0))),
+        lambda w: dn.ResponseMixture(w, ((0, 1), (1, 0)), 2),
+    ]
+    for build in builders:
+        build(np.array([0.5 + 5e-10, 0.5]))        # sum within 1e-9
+        build(np.array([1.0 + 5e-13, -5e-13]))     # least weight within -1e-12
+        for bad in ([0.5 + 2e-9, 0.5], [1.0 + 2e-12, -2e-12]):
+            with pytest.raises(BadWeights):
+                build(np.array(bad))
+
+
 def test_uniform_mixture_of_all_permutations():
     # with sigma uniform over S_3: P(sigma(x) = a) = 1/3 on the diagonal
     # and P(sigma(x) = a, sigma(y) = b) = (n-2)!/n! = 1/6 off it

@@ -16,6 +16,12 @@ def test_verify_classical_permutation():
     assert rep.passed
 
 
+@pytest.mark.parametrize("sigma", [[5], [0, 0], [1, 2]])
+def test_from_permutation_rejects_nonbijection(sigma):
+    with pytest.raises(BadInput):
+        qperm.from_permutation(sigma)
+
+
 def test_verify_block_pair(rng):
     sys = qperm.block_pair(qperm.random_rank1_projection(rng, 2),
                            qperm.random_rank1_projection(rng, 2))

@@ -5,6 +5,7 @@ from bisyncgames import densities as dn, qperm, vect
 from bisyncgames.errors import (
     NegativeEntry,
     NonRealGram,
+    NotBijective,
     PreconditionFailed,
     ShapeMismatch,
 )
@@ -15,6 +16,12 @@ from conftest import sample_systems
 def test_permutation_witness_verifies():
     rep = vect.verify_bisync_vect(vect.permutation_strategy([2, 0, 1]))
     assert rep.passed
+
+
+@pytest.mark.parametrize("sigma", [[5], [0, 0], [1, 2]])
+def test_permutation_strategy_rejects_nonbijection(sigma):
+    with pytest.raises(NotBijective):
+        vect.permutation_strategy(sigma)
 
 
 def test_perturbed_vector_fails_with_named_witness():
