@@ -281,9 +281,7 @@ def _map_kraus(args):
     rep.add("completely_positive", cp, cpmaps.noncp_spectral_margin(m))
     if not cp:
         return rep, None
-    ks = cpmaps.kraus_from_choi(m, args.tol)
-    recon = cpmaps.choi_from_kraus(ks, m.n, m.k)
-    err = float(np.abs(recon.choi - m.choi).max())
+    ks, err = cpmaps._kraus_with_residual(m, args.tol)
     rep.add("kraus_reconstructs", err <= 10 * args.tol, err)
     art = {"count": len(ks.operators),
            "operators": [serialize.matrix_to_dict(k) for k in ks.operators]}

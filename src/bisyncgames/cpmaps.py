@@ -233,6 +233,11 @@ def kraus_from_choi(m: ChoiMap, tol: float = DEFAULT_TOL) -> KrausSet:
     contribute one operator each; orthogonality of eigenvectors makes
     the operators linearly independent.
     """
+    return _kraus_with_residual(m, tol)[0]
+
+
+def _kraus_with_residual(m: ChoiMap, tol: float) -> tuple:
+    """(kraus_from_choi(m, tol), max-norm deviation of its Choi matrix from m's)."""
     if not is_cp(m, tol):
         raise NotCP("Kraus extraction requires a completely positive map")
     eig = _choi_eig(m)
@@ -243,7 +248,7 @@ def kraus_from_choi(m: ChoiMap, tol: float = DEFAULT_TOL) -> KrausSet:
     worst = norm_max(choi_from_kraus(kraus, m.n, m.k).choi - m.choi)
     if worst > 1e-7 * max(1.0, norm_max(m.choi)):
         raise InternalMismatch(f"Kraus form deviates from the map by {worst}")
-    return kraus
+    return kraus, worst
 
 
 def choi_from_kraus(ks: KrausSet, n: int, k: int) -> ChoiMap:
@@ -293,12 +298,17 @@ def is_schur_closed(basis, tol: float = DEFAULT_TOL) -> bool:
     shape = mats[0].shape
     if any(b.shape != shape for b in mats):
         raise ShapeMismatch("basis elements must share a shape")
-    span = linalg.orthonormal_span(mats, tol)
+    return _schur_closed(mats, linalg.orthonormal_span(mats, tol), tol)
+
+
+def _schur_closed(mats, span, tol: float) -> bool:
+    """is_schur_closed given the span's orthonormal rows; projects one row a * basis at a time."""
+    stack = np.array([linalg.vec(b) for b in mats], dtype=np.complex128)
     worst = 0.0
-    for a in mats:
-        for b in mats:
-            worst = max(worst, linalg.residual_outside_span(span, a * b))
-    return worst <= tol * 10 * max(1.0, max(norm_max(a) for a in mats) ** 2)
+    for a in stack:
+        prods = a * stack
+        worst = max(worst, norm_max(prods - (prods @ span.conj().T) @ span))
+    return worst <= tol * 10 * max(1.0, norm_max(stack) ** 2)
 
 
 def mixed_permutation_map(mix: PermutationMixture) -> ChoiMap:

@@ -216,6 +216,15 @@ def test_map_commands_diagonalize_once(action, induced_path, monkeypatch):
         assert preds == Counter(is_tp=1, is_unital=1)
 
 
+def test_map_kraus_reconstructs_once(induced_path, monkeypatch):
+    calls = count_calls(monkeypatch, cpmaps, ("choi_from_kraus",))
+    code, rep = run_cli(["map", "kraus", "--in", induced_path])
+    assert code == 0
+    assert calls == Counter(choi_from_kraus=1)
+    line = {c["name"]: c for c in rep["checks"]}["kraus_reconstructs"]
+    assert line["pass"] and line["max_violation"] <= 1e-12
+
+
 @pytest.mark.parametrize("cls", ["sync", "bisync"])
 def test_density_check_validates_once(cls, z3_path, monkeypatch):
     calls = []

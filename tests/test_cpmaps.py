@@ -368,3 +368,29 @@ def test_copies_are_rebuilt_without_the_cached_decomposition():
         assert (other.n, other.k) == (m.n, m.k)
         assert np.array_equal(other.choi, m.choi)
         assert cpmaps.min_choi_eigenvalue(other) == least
+
+
+def _schur_residual_by_pairs(mats):
+    """Largest residual of any a * b outside the span, pair by pair: the reference."""
+    span = linalg.orthonormal_span(mats)
+    return max(linalg.residual_outside_span(span, a * b) for a in mats for b in mats)
+
+
+def test_schur_closed_matches_pairwise_loop(rng):
+    sys = qperm.random_quantum_permutation(np.random.default_rng(107), kind="block_pair")
+    closed = {
+        "pattern": list(qperm.fixed_pattern_basis(sys).basis),
+        "fix": cpmaps.fixed_point_set(cpmaps.phi_from_density(qperm.induced_density(sys))),
+        "circulants": [np.eye(3), cyclic_shift(3), cyclic_shift(3) @ cyclic_shift(3)],
+    }
+    not_closed = {
+        "x_plus_z": [np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]])],
+        "random": [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)],
+    }
+    for name, mats in {**closed, **not_closed}.items():
+        worst = _schur_residual_by_pairs(mats)
+        bound = 1e-8 * max(1.0, max(np.abs(a).max() for a in mats) ** 2)
+        assert (worst <= bound) == (name in closed), name
+        span = linalg.orthonormal_span(mats)
+        assert cpmaps._schur_closed(mats, span, 1e-9) == (name in closed), name
+        assert cpmaps.is_schur_closed(mats) == (name in closed), name

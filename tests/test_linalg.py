@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisyncgames import linalg
+from bisyncgames import cpmaps, linalg, qperm
 from bisyncgames.errors import NotHermitian
 
-from conftest import random_hermitian
+from conftest import pauli_systems, random_hermitian, record_nullspace_inputs, sample_systems
 
 
 def unit(i, j, d):
@@ -225,3 +225,41 @@ def test_nullspace_of_wide_matrix_keeps_full_basis(rng):
     assert ns.shape == (4, 7)
     assert np.abs(m @ ns.T).max() < 1e-12
     assert np.abs(ns.conj() @ ns.T - np.eye(4)).max() < 1e-12
+
+
+def _joint_commutant_system_by_loop(mats):
+    """(I (x) op^T - op (x) I) for op = K, K* of each K, stacked: the reference."""
+    eye, rows = np.eye(mats[0].shape[0]), []
+    for k in mats:
+        for op in (k, k.conj().T):
+            rows.append(np.kron(eye, op.T) - np.kron(op, eye))
+    return np.vstack(rows)
+
+
+def test_joint_commutant_system_matches_loop_reference(rng, monkeypatch):
+    kraus = [cpmaps.kraus_from_choi(cpmaps.phi_from_density(qperm.induced_density(s))).operators
+             for s in sample_systems(103, 8) + pauli_systems(103)]
+    kraus += [[rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]]
+    assert {ops[0].shape[0] for ops in kraus} >= {4, 8}
+    seen = record_nullspace_inputs(monkeypatch)
+    for ops in kraus:
+        seen.clear()
+        linalg.joint_commutant(ops)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], _joint_commutant_system_by_loop(ops))
+
+
+def _as_matrices(rows):
+    return [v.reshape(1, -1) for v in rows]
+
+
+@pytest.mark.parametrize("rows, cols, rank", [
+    (41, 40, 33), (80, 40, 40), (300, 40, 1), (1024, 64, 60), (256, 16, 9)])
+def test_tall_nullspace_agrees_with_full_svd(rng, rows, cols, rank):
+    m = _tall_rank_deficient(rng, rows, cols, rank)
+    _, s, vh = np.linalg.svd(m)          # full matrices: the reference
+    expected = vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj()
+    ns = linalg.nullspace(m)
+    assert ns.shape == expected.shape == (cols - rank, cols)
+    assert linalg.span_containment_residual(_as_matrices(ns), _as_matrices(expected)) <= 1e-12
+    assert linalg.span_containment_residual(_as_matrices(expected), _as_matrices(ns)) <= 1e-12

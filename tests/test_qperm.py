@@ -8,7 +8,7 @@ import pytest
 from bisyncgames import cpmaps, densities as dn, games, linalg, qperm, vect
 from bisyncgames.errors import BadInput, ShapeMismatch, UnverifiedSystem
 
-from conftest import sample_systems
+from conftest import count_calls, pauli_systems, record_nullspace_inputs, sample_systems
 
 
 def test_verify_classical_permutation():
@@ -435,3 +435,41 @@ def test_pattern_classes_match_union_find_reference():
                 expected = np.zeros((s.n, s.n))
                 expected[tuple(zip(*cls))] = 1.0
                 assert np.array_equal(ind, expected)
+
+
+def _commutation_system_by_loop(sys):
+    """Column (r, s) is vec((e_rs (x) 1) u - u (e_rs (x) 1)), one Kronecker
+    product and two matmuls per column: the reference for the broadcast build."""
+    n, blocks = sys.n, []
+    for g, big in zip(sys.grids, qperm.big_matrices(sys)):
+        eye, cols = np.eye(g.shape[2]), []
+        for r in range(n):
+            for s in range(n):
+                unit = np.zeros((n, n))
+                unit[r, s] = 1.0
+                lifted = linalg.kron(unit, eye)
+                cols.append((lifted @ big - big @ lifted).reshape(-1))
+        blocks.append(np.array(cols).T)
+    return np.vstack(blocks)
+
+
+def test_commutation_system_matches_loop_reference(monkeypatch):
+    systems = sample_systems(97, 12) + pauli_systems(97)
+    assert {s.n for s in systems} >= {4, 8} and len({s.dims for s in systems}) >= 4
+    seen = record_nullspace_inputs(monkeypatch)
+    for sys in systems:
+        seen.clear()
+        qperm.commutation_subspace(sys)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], _commutation_system_by_loop(sys))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_fix_check_builds_no_kron_and_spans_each_basis_once(index, monkeypatch):
+    sys = (sample_systems(101, 2) + pauli_systems(101)[2:])[index]
+    krons = count_calls(monkeypatch, np, ("kron",))
+    spans = count_calls(monkeypatch, linalg, ("orthonormal_span",))
+    fe = qperm.fix_equivalence_check(sys)
+    assert fe.report.passed
+    assert krons["kron"] == 0
+    assert spans["orthonormal_span"] == 4
