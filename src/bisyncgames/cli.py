@@ -10,6 +10,7 @@ input-format errors.  Artifacts are embedded in the report under
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -30,47 +31,56 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bisyncgames")
     groups = top.add_subparsers(dest="group", required=True)
 
+    def command(group, name, handler):
+        p = group.add_parser(name, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
+
     game = groups.add_parser("game").add_subparsers(dest="action", required=True)
-    p = game.add_parser("check", parents=[common])
+    p = command(game, "check", _game_check)
     p.add_argument("--class", dest="cls", choices=["sync", "bisync"], default="bisync")
-    game.add_parser("flip", parents=[common])
-    for name in ("hom", "iso"):
-        p = game.add_parser(name, parents=[common])
+    command(game, "flip", _game_flip)
+    for name, builder in (("hom", games.hom_game), ("iso", games.iso_game)):
+        p = command(game, name, functools.partial(_game_build, builder=builder, name=name))
         p.add_argument("graph_g", metavar="G.json")
         p.add_argument("graph_h", metavar="H.json")
-    game.add_parser("lift", parents=[common])
+    command(game, "lift", _game_lift)
 
     dens = groups.add_parser("density").add_subparsers(dest="action", required=True)
-    p = dens.add_parser("check", parents=[common])
+    p = command(dens, "check", _density_check)
     p.add_argument("--class", dest="cls",
                    choices=["valid", "ns", "sync", "bisync"], default="bisync")
-    p = dens.add_parser("perfect", parents=[common])
+    p = command(dens, "perfect", _density_perfect)
     p.add_argument("--game", required=True, metavar="GAME.json")
-    dens.add_parser("flip", parents=[common])
-    p = dens.add_parser("compose", parents=[common])
+    command(dens, "flip", _density_flip)
+    p = command(dens, "compose", _density_compose)
     p.add_argument("outer", metavar="Q.json")
     p.add_argument("inner", metavar="P.json")
-    dens.add_parser("local-decompose", parents=[common])
-    dens.add_parser("z3", parents=[common])
+    command(dens, "local-decompose", _density_local)
+    command(dens, "z3", _density_z3)
 
     vct = groups.add_parser("vect").add_subparsers(dest="action", required=True)
-    vct.add_parser("verify", parents=[common])
-    vct.add_parser("density", parents=[common])
+    command(vct, "verify", _vect_verify)
+    command(vct, "density", _vect_density)
 
     qp = groups.add_parser("qperm").add_subparsers(dest="action", required=True)
-    qp.add_parser("verify", parents=[common])
-    qp.add_parser("density", parents=[common])
-    p = qp.add_parser("apply", parents=[common])
+    command(qp, "verify", _qperm_verify)
+    command(qp, "density", _qperm_density)
+    p = command(qp, "apply", _qperm_apply)
     p.add_argument("matrix", metavar="X.json")
-    p = qp.add_parser("intertwine", parents=[common])
+    p = command(qp, "intertwine", _qperm_intertwine)
     p.add_argument("--g", required=True, metavar="G.json")
     p.add_argument("--h", dest="hh", required=True, metavar="H.json")
-    p = qp.add_parser("fixpoints", parents=[common])
+    p = command(qp, "fixpoints", _qperm_fixpoints)
     p.add_argument("--crosscheck", action="store_true")
 
     mp = groups.add_parser("map").add_subparsers(dest="action", required=True)
-    for name in ("build", "check", "adjoint", "kraus", "fixpoints", "mixperm"):
-        mp.add_parser(name, parents=[common])
+    command(mp, "build", _map_build)
+    command(mp, "check", _map_check)
+    command(mp, "adjoint", _map_adjoint)
+    command(mp, "kraus", _map_kraus)
+    command(mp, "fixpoints", _map_fixpoints)
+    command(mp, "mixperm", _map_mixperm)
     return top
 
 
@@ -313,33 +323,6 @@ def _map_mixperm(args):
     return rep, art
 
 
-_HANDLERS = {
-    ("game", "check"): _game_check,
-    ("game", "flip"): _game_flip,
-    ("game", "hom"): lambda a: _game_build(a, games.hom_game, "hom"),
-    ("game", "iso"): lambda a: _game_build(a, games.iso_game, "iso"),
-    ("game", "lift"): _game_lift,
-    ("density", "check"): _density_check,
-    ("density", "perfect"): _density_perfect,
-    ("density", "flip"): _density_flip,
-    ("density", "compose"): _density_compose,
-    ("density", "local-decompose"): _density_local,
-    ("density", "z3"): _density_z3,
-    ("vect", "verify"): _vect_verify,
-    ("vect", "density"): _vect_density,
-    ("qperm", "verify"): _qperm_verify,
-    ("qperm", "density"): _qperm_density,
-    ("qperm", "apply"): _qperm_apply,
-    ("qperm", "intertwine"): _qperm_intertwine,
-    ("qperm", "fixpoints"): _qperm_fixpoints,
-    ("map", "build"): _map_build,
-    ("map", "check"): _map_check,
-    ("map", "adjoint"): _map_adjoint,
-    ("map", "kraus"): _map_kraus,
-    ("map", "fixpoints"): _map_fixpoints,
-    ("map", "mixperm"): _map_mixperm,
-}
-
 # Artifact keys whose payload is written bare to --out.
 _PRIMARY_ARTIFACT = ("game", "density", "mixture", "choi", "matrix", "certificate")
 
@@ -350,9 +333,8 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = _HANDLERS[(args.group, args.action)]
     try:
-        rep, artifacts = handler(args)
+        rep, artifacts = args.handler(args)
     except (UnverifiedSystem, NotCP) as exc:
         rep = Report(f"{args.group} {args.action}")
         rep.add("input_contract", False, witness=str(exc))

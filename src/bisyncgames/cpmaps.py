@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .densities import Density, PermutationMixture, mixture_density, validate
+from .densities import Density, PermutationMixture, from_permutation, mixture_density, validate
 from .errors import (
     InternalMismatch,
     InvalidDensity,
@@ -98,11 +98,7 @@ def apply_map(m: ChoiMap, x) -> np.ndarray:
 
 
 def identity_map(n: int) -> ChoiMap:
-    p = np.zeros((n, n, n, n), dtype=np.complex128)
-    for x in range(n):
-        for y in range(n):
-            p[x, y, x, y] = 1.0
-    return choi_from_tensor(p)
+    return choi_from_tensor(from_permutation(range(n)).p)
 
 
 def compose_maps(outer: ChoiMap, inner: ChoiMap) -> ChoiMap:

@@ -16,18 +16,21 @@ import numpy as np
 from .errors import (
     BadWeights,
     InvalidDensity,
-    NotBijective,
     PreconditionFailed,
     ShapeMismatch,
     SolverFailed,
-    TooLarge,
 )
-from .games import Game
+from .games import (
+    Game,
+    as_permutation,
+    check_response_values,
+    forbidden_positions,
+    response_functions,
+)
 from .linalg import DEFAULT_TOL
 from .report import Report
 
 _FACTORIAL_GUARD = 8      # largest n for permutation-column LPs
-_RESPONSE_GUARD = 3000    # largest k**n for response-function LPs
 # HiGHS feasibility tolerances for the one re-solve near the polytope's boundary
 _TIGHT_LP = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
@@ -119,16 +122,13 @@ def is_bisynchronous_density(d: Density, tol: float = DEFAULT_TOL) -> bool:
 def _synchronous(d: Density, tol: float) -> bool:
     """is_synchronous_density for a density already validated."""
     _require_square(d)
-    same_input = d.p[np.arange(d.nA), np.arange(d.nA)]   # [x, a, b] at y = x
-    return float(same_input[:, ~np.eye(d.kA, dtype=bool)].max(initial=0.0)) <= tol
+    return float(d.p[forbidden_positions(d.nA, d.kA)].max(initial=0.0)) <= tol
 
 
 def _bisynchronous(d: Density, tol: float) -> bool:
     """is_bisynchronous_density for a density already validated."""
-    if not _synchronous(d, tol):
-        return False
-    same_output = np.einsum("xyaa->xya", d.p)[~np.eye(d.nA, dtype=bool)]
-    return float(same_output.max(initial=0.0)) <= tol
+    _require_square(d)
+    return float(d.p[forbidden_positions(d.nA, d.kA, bisync=True)].max(initial=0.0)) <= tol
 
 
 def is_perfect_for(g: Game, d: Density, tol: float = DEFAULT_TOL) -> bool:
@@ -180,28 +180,22 @@ def _atom_mixture(atoms, weights, k: int) -> np.ndarray:
 
 
 def _all_atoms(family: str, n: int, k: int) -> np.ndarray:
-    """Every permutation of [n], or every map [n] -> [k], one per row."""
+    """Every permutation of [n], or every map [n] -> [k] (guarded), one per row."""
     if family == "permutations":
-        atoms = itertools.permutations(range(n))
-    else:
-        atoms = itertools.product(range(k), repeat=n)
-    return np.array(list(atoms), dtype=np.intp).reshape(-1, n)
+        return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    return response_functions(n, k)
 
 
 def from_permutation(sigma) -> Density:
     """Deterministic density of a permutation: p(a, b | x, y) = [a = s(x)][b = s(y)]."""
-    sigma = list(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise NotBijective(f"{sigma} is not a permutation of 0..{n - 1}")
-    return Density(_atom_mixture([sigma], [1.0], n))
+    sigma = as_permutation(sigma)
+    return Density(_atom_mixture([sigma], [1.0], len(sigma)))
 
 
 def from_response_function(f, k: int) -> Density:
     """Deterministic density of a shared response function [n] -> [k]."""
     f = list(f)
-    if any(not 0 <= v < k for v in f):
-        raise ShapeMismatch("response values must lie in 0..k-1")
+    check_response_values(f, k)
     return Density(_atom_mixture([f], [1.0], k))
 
 
@@ -279,10 +273,8 @@ class PermutationMixture:
     def __post_init__(self):
         perms = tuple(tuple(int(v) for v in s) for s in self.permutations)
         w = _convex_weights(self.weights, len(perms), "permutation")
-        n = len(perms[0])
         for s in perms:
-            if sorted(s) != list(range(n)):
-                raise NotBijective(f"{s} is not a permutation")
+            as_permutation(s, len(perms[0]))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "permutations", perms)
 
@@ -516,8 +508,6 @@ def local_sync_membership(d: Density, tol: float = DEFAULT_TOL):
     if not _synchronous(d, tol):
         raise PreconditionFailed("density must be synchronous")
     n, k = d.nA, d.kA
-    if k ** n > _RESPONSE_GUARD:
-        raise TooLarge(f"{k}^{n} response functions exceed the guard of {_RESPONSE_GUARD}")
     return _decide_membership(
         _all_atoms("responses", n, k), d, tol,
         lambda w, kept: ResponseMixture(w, kept, k),

@@ -29,7 +29,7 @@ class BadWeights(BisyncError):
     """Convex-combination weights are negative or do not sum to one."""
 
 
-class NotBijective(BisyncError):
+class NotBijective(BadInput):
     """A map required to be a permutation is not a bijection."""
 
 

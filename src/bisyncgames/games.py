@@ -12,9 +12,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInput, NotSynchronous, TooLarge
+from .errors import BadInput, NotBijective, NotSynchronous, ShapeMismatch, TooLarge
 
-_DETERMINISTIC_GUARD = 3000  # max number of response functions to enumerate
+_RESPONSE_GUARD = 3000  # max number of response functions to enumerate
+
+
+def forbidden_positions(n: int, k: int, bisync: bool = False) -> np.ndarray:
+    """The (n, n, k, k) mask of the tuples (x, y, a, b) a synchronous game must lose,
+    x = y with a != b; with ``bisync``, also x != y with a = b."""
+    same_q = np.eye(n, dtype=bool)[:, :, None, None]
+    same_a = np.eye(k, dtype=bool)
+    return same_q != same_a if bisync else same_q & ~same_a
+
+
+def response_functions(n: int, k: int) -> np.ndarray:
+    """All k^n response functions [n] -> [k], one per row, in lexicographic order."""
+    if k ** n > _RESPONSE_GUARD:
+        raise TooLarge(f"{k}^{n} response functions exceed the guard of {_RESPONSE_GUARD}")
+    return np.indices((k,) * n, dtype=np.intp).reshape(n, k ** n).T
+
+
+def check_response_values(f, k: int) -> None:
+    """ShapeMismatch unless every value of the response function ``f`` lies in 0..k-1."""
+    if any(not 0 <= v < k for v in f):
+        raise ShapeMismatch("response values must lie in 0..k-1")
+
+
+def as_permutation(sigma, n: int | None = None) -> list:
+    """``sigma`` as a list; NotBijective unless it permutes 0..n-1 (n defaults to its length)."""
+    sigma = list(sigma)
+    n = len(sigma) if n is None else n
+    if sorted(sigma) != list(range(n)):
+        raise NotBijective(f"{sigma} is not a permutation of 0..{n - 1}")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -82,13 +112,9 @@ def graph_complement(g: Graph) -> Graph:
 
 def relabel_graph(g: Graph, sigma) -> Graph:
     """Graph with vertex i of ``g`` renamed sigma[i]."""
-    sigma = list(sigma)
-    if sorted(sigma) != list(range(g.n)):
-        raise BadInput("relabeling must be a permutation of the vertices")
+    sigma = as_permutation(sigma, g.n)
     adj = np.zeros_like(g.adjacency)
-    for i in range(g.n):
-        for j in range(g.n):
-            adj[sigma[i], sigma[j]] = g.adjacency[i, j]
+    adj[np.ix_(sigma, sigma)] = g.adjacency
     return Graph(adj)
 
 
@@ -131,26 +157,12 @@ def is_synchronous(g: Game) -> bool:
     """
     if g.nA != g.nB or g.kA != g.kB:
         return False
-    k = g.kA
-    off = ~np.eye(k, dtype=bool)
-    for v in range(g.nA):
-        if g.lam[v, v][off].any():
-            return False
-    return True
+    return not g.lam[forbidden_positions(g.nA, g.kA)].any()
 
 
 def is_bisynchronous(g: Game) -> bool:
     """Synchronous, and distinct questions must get distinct answers."""
-    if not is_synchronous(g):
-        return False
-    n, k = g.nA, g.kA
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            if g.lam[x, y].diagonal().any():
-                return False
-    return True
+    return is_synchronous(g) and not g.lam[forbidden_positions(g.nA, g.kA, bisync=True)].any()
 
 
 def hom_game(g: Graph, h: Graph) -> Game:
@@ -159,15 +171,8 @@ def hom_game(g: Graph, h: Graph) -> Game:
     Loses exactly when equal inputs get unequal outputs, or when an edge
     of ``g`` is answered by a non-edge of ``h``.
     """
-    n, k = g.n, h.n
-    lam = np.ones((n, n, k, k), dtype=bool)
-    eye_k = np.eye(k, dtype=bool)
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                lam[x, y] = eye_k
-            elif g.adjacency[x, y]:
-                lam[x, y] = h.adjacency
+    lam = ~forbidden_positions(g.n, h.n)
+    lam[g.adjacency] = h.adjacency
     return Game(lam)
 
 
@@ -235,23 +240,24 @@ def lift_output_index(x: int, a: int, k: int) -> int:
     return x * k + a
 
 
-def response_functions(n: int, k: int):
-    """All deterministic response functions [n] -> [k], lexicographic order."""
-    if k ** n > _DETERMINISTIC_GUARD:
-        raise TooLarge(f"{k}^{n} response functions exceed the guard of {_DETERMINISTIC_GUARD}")
-    return itertools.product(range(k), repeat=n)
+def _perfect_rows(g: Game, fs: np.ndarray) -> np.ndarray:
+    """For each row f of ``fs``, whether lam[x, y, f[x], f[y]] holds for every x, y."""
+    x = np.arange(g.nA)
+    return g.lam[x[:, None], x, fs[:, :, None], fs[:, None, :]].all(axis=(1, 2))
 
 
 def is_perfect_deterministic(g: Game, f) -> bool:
-    """Whether the shared response function ``f`` wins on every input pair."""
+    """Whether the shared response function ``f`` wins on every input pair;
+    ShapeMismatch when a value of ``f`` lies outside 0..k-1."""
     f = list(f)
     if g.nA != g.nB or g.kA != g.kB or len(f) != g.nA:
         return False
-    return all(g.lam[x, y, f[x], f[y]] for x in range(g.nA) for y in range(g.nB))
+    check_response_values(f, g.kA)
+    return bool(_perfect_rows(g, np.array([f]))[0])
 
 
 def has_perfect_deterministic(g: Game) -> bool:
     """Exhaustive search over response functions (guarded)."""
     if g.nA != g.nB or g.kA != g.kB:
         return False
-    return any(is_perfect_deterministic(g, f) for f in response_functions(g.nA, g.kA))
+    return bool(_perfect_rows(g, response_functions(g.nA, g.kA)).any())

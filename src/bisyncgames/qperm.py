@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     UnverifiedSystem,
 )
-from .games import Graph
+from .games import Graph, as_permutation
 from .linalg import DEFAULT_TOL, dagger, kron, norm_max
 from .report import Report
 
@@ -176,11 +176,8 @@ def induced_density(sys: ProjectiveSystem, tol: float = DEFAULT_TOL) -> Density:
 
 def from_permutation(sigma) -> QuantumPermutation:
     """The d = 1 quantum permutation of a classical permutation."""
-    sigma = list(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise BadInput(f"{sigma} is not a permutation of 0..{n - 1}")
-    return ProjectiveSystem((np.eye(n)[sigma].reshape(n, n, 1, 1),), (1.0,))
+    sigma = as_permutation(sigma)
+    return ProjectiveSystem((np.eye(len(sigma))[sigma][:, :, None, None],), (1.0,))
 
 
 def direct_sum(u1: ProjectiveSystem, u2: ProjectiveSystem,

@@ -22,7 +22,7 @@ import numpy as np
 from .cpmaps import ChoiMap
 from .densities import Density, PermutationMixture
 from .errors import BadInput
-from .games import Game, Graph
+from .games import Game, Graph, graph_from_edges
 from .qperm import ProjectiveSystem
 from .vect import VectorStrategy
 
@@ -38,6 +38,15 @@ def _pair2c(p) -> complex:
     return complex(float(p[0]), float(p[1]))
 
 
+def _index_tuples(items, shape, what) -> list:
+    """``items`` as tuples of len(shape) integers within ``shape``; BadInput otherwise."""
+    for t in items:
+        if not (isinstance(t, (list, tuple)) and len(t) == len(shape)
+                and all(isinstance(v, int) and 0 <= v < m for v, m in zip(t, shape))):
+            raise BadInput(f"bad {what} {t!r}: need {len(shape)} integers within {shape}")
+    return [tuple(t) for t in items]
+
+
 def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
@@ -45,11 +54,9 @@ def graph_to_dict(g: Graph) -> dict:
 def graph_from_dict(d: dict) -> Graph:
     try:
         n = int(d["n"])
-        edges = d.get("edges", [])
-    except (KeyError, TypeError) as exc:
+        return graph_from_edges(n, _index_tuples(d.get("edges", []), (n, n), "edge"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad graph JSON: {exc}")
-    from .games import graph_from_edges
-    return graph_from_edges(n, [tuple(e) for e in edges])
 
 
 def game_to_dict(g: Game) -> dict:
@@ -63,14 +70,11 @@ def game_to_dict(g: Game) -> dict:
 def game_from_dict(d: dict) -> Game:
     try:
         shape = (int(d["nA"]), int(d["nB"]), int(d["kA"]), int(d["kB"]))
-        zeros = d.get("zeros", [])
-    except (KeyError, TypeError) as exc:
+        lam = np.ones(shape, dtype=bool)
+        for t in _index_tuples(d.get("zeros", []), shape, "zero tuple"):
+            lam[t] = False
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad game JSON: {exc}")
-    lam = np.ones(shape, dtype=bool)
-    for t in zeros:
-        if len(t) != 4:
-            raise BadInput(f"bad zero tuple {t!r}")
-        lam[tuple(int(v) for v in t)] = False
     return Game(lam)
 
 
@@ -99,10 +103,12 @@ def vect_to_dict(v: VectorStrategy) -> dict:
 
 def vect_from_dict(d: dict) -> VectorStrategy:
     try:
-        h = d["h"]
-        arr = np.array([[[_pair2c(z) for z in vec] for vec in row] for row in h])
+        n, m = int(d["n"]), int(d["m"])
+        arr = np.array([[[_pair2c(z) for z in vec] for vec in row] for row in d["h"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad vect JSON: {exc}")
+    if arr.ndim != 3 or (arr.shape[0], arr.shape[2]) != (n, m):
+        raise BadInput(f"vector grid shape {arr.shape} disagrees with n = {n}, m = {m}")
     return VectorStrategy(arr)
 
 
@@ -118,17 +124,17 @@ def system_to_dict(s: ProjectiveSystem) -> dict:
 
 def system_from_dict(d: dict) -> ProjectiveSystem:
     try:
-        blocks = d["blocks"]
+        n, k = int(d["n"]), int(d["k"])
         grids, weights = [], []
-        for blk in blocks:
+        for blk in d["blocks"]:
             dim = int(blk["d"])
             weights.append(float(blk["weight"]))
             e = blk["E"]
             arr = np.array(
                 [[[[_pair2c(z) for z in row] for row in mat] for mat in outrow]
                  for outrow in e])
-            if arr.shape[2:] != (dim, dim):
-                raise BadInput(f"block entries are not {dim} x {dim}")
+            if arr.shape != (n, k, dim, dim):
+                raise BadInput(f"block shape {arr.shape} != {(n, k, dim, dim)}")
             grids.append(arr)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad system JSON: {exc}")
@@ -161,12 +167,16 @@ def mixture_to_dict(m: PermutationMixture) -> dict:
 
 def mixture_from_dict(d: dict) -> PermutationMixture:
     try:
-        return PermutationMixture(
+        n = int(d["n"])
+        mix = PermutationMixture(
             np.asarray(d["weights"], dtype=float),
             tuple(tuple(int(v) for v in s) for s in d["permutations"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad mixture JSON: {exc}")
+    if mix.n != n:
+        raise BadInput(f"mixture permutes {mix.n} points, header says n = {n}")
+    return mix
 
 
 def matrix_to_dict(a) -> dict:
@@ -179,11 +189,14 @@ def matrix_to_dict(a) -> dict:
 
 def matrix_from_dict(d: dict) -> np.ndarray:
     try:
+        rows, cols = int(d["rows"]), int(d["cols"])
         arr = np.array([[_pair2c(z) for z in row] for row in d["entries"]])
-        if arr.shape != (int(d["rows"]), int(d["cols"])):
-            raise BadInput("matrix shape disagrees with rows/cols")
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad matrix JSON: {exc}")
+    if rows < 1 or cols < 1:
+        raise BadInput("a matrix needs at least one row and one column")
+    if arr.shape != (rows, cols):
+        raise BadInput("matrix shape disagrees with rows/cols")
     return arr
 
 

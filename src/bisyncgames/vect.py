@@ -17,10 +17,10 @@ from .densities import Density
 from .errors import (
     NegativeEntry,
     NonRealGram,
-    NotBijective,
     PreconditionFailed,
     ShapeMismatch,
 )
+from .games import as_permutation
 from .linalg import DEFAULT_TOL
 from .qperm import ProjectiveSystem, ensure_verified
 from .report import Report
@@ -150,8 +150,5 @@ def vect_from_projective(sys: ProjectiveSystem,
 
 def permutation_strategy(sigma) -> VectorStrategy:
     """Canonical one-dimensional witness of a classical permutation."""
-    sigma = list(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise NotBijective(f"{sigma} is not a permutation of 0..{n - 1}")
-    return VectorStrategy(np.eye(n)[sigma][:, :, None])
+    sigma = as_permutation(sigma)
+    return VectorStrategy(np.eye(len(sigma))[sigma][:, :, None])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from bisyncgames import cli, cpmaps, densities as dn, games, qperm, serialize
+from bisyncgames import cli, cpmaps, densities as dn, games, qperm, serialize, vect
 
 from conftest import count_calls
 
@@ -299,3 +299,51 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def _game_json(zeros):
+    return {"nA": 2, "nB": 2, "kA": 2, "kB": 2, "zeros": zeros}
+
+
+def _swap_system_rows(rows):
+    """The swap's quantum permutation with only its first ``rows`` rows of E,
+    under the unchanged header n = k = 2."""
+    s = serialize.system_to_dict(qperm.from_permutation([1, 0]))
+    s["blocks"][0]["E"] = s["blocks"][0]["E"][:rows]
+    return s
+
+
+_MALFORMED = {
+    "zero index beyond the shape": ["game", "check", "--in", _game_json([[5, 0, 0, 0]])],
+    "negative zero index": ["game", "check", "--in", _game_json([[-1, -1, 0, 1]])],
+    "fractional zero index": ["game", "check", "--in", _game_json([[0, 0, 0, 1.5]])],
+    "edge with three ends":
+        ["game", "hom", {"n": 3, "edges": [[0, 1, 2]]}, {"n": 2, "edges": [[0, 1]]}],
+    "fractional edge end":
+        ["game", "hom", {"n": 3, "edges": [[0, 1.5]]}, {"n": 2, "edges": [[0, 1]]}],
+    "system grid smaller than its header": ["qperm", "verify", "--in", _swap_system_rows(1)],
+    "vect grid smaller than its header":
+        ["vect", "verify", "--in",
+         dict(serialize.vect_to_dict(vect.permutation_strategy([1, 0])), n=3)],
+    "mixture shorter than its header":
+        ["map", "mixperm", "--in", {"n": 3, "weights": [1.0], "permutations": [[1, 0]]}],
+    "matrix without columns":
+        ["qperm", "apply", "--in", _swap_system_rows(2),
+         {"rows": 2, "cols": 0, "entries": [[], []]}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_json_exits_2_without_traceback(case, tmp_path, capsys):
+    args = []
+    for i, arg in enumerate(_MALFORMED[case]):
+        if isinstance(arg, dict):
+            path = tmp_path / f"arg{i}.json"
+            serialize.dump_json(arg, str(path))
+            arg = str(path)
+        args.append(arg)
+    assert cli.run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -48,6 +48,17 @@ def test_identity_choi_is_maximally_entangled_pattern():
     assert cpmaps.is_cp(m)
 
 
+def test_identity_map_matches_loop_reference():
+    for n in range(1, 6):
+        p = np.zeros((n, n, n, n), dtype=np.complex128)
+        for x in range(n):
+            for y in range(n):
+                p[x, y, x, y] = 1.0
+        m = cpmaps.identity_map(n)
+        assert m.choi.dtype == np.complex128
+        assert m.choi.tobytes() == cpmaps.choi_from_tensor(p).choi.tobytes()
+
+
 def test_phi_requires_valid_density():
     with pytest.raises(InvalidDensity):
         cpmaps.phi_from_density(dn.Density(np.zeros((2, 2, 2, 2))))

@@ -532,3 +532,47 @@ def test_nonlocal_with_candidate_atoms_gets_an_exact_certificate():
     assert on_polytope <= 0.0
     assert at_d == pytest.approx(res.violation, abs=1e-12)
     assert res.violation > dn.DEFAULT_TOL
+
+
+def loop_synchronous(d, tol):
+    """The parent's index arithmetic for densities._synchronous."""
+    dn._require_square(d)
+    same_input = d.p[np.arange(d.nA), np.arange(d.nA)]
+    return float(same_input[:, ~np.eye(d.kA, dtype=bool)].max(initial=0.0)) <= tol
+
+
+def loop_bisynchronous(d, tol):
+    """The parent's index arithmetic for densities._bisynchronous."""
+    if not loop_synchronous(d, tol):
+        return False
+    same_output = np.einsum("xyaa->xya", d.p)[~np.eye(d.nA, dtype=bool)]
+    return float(same_output.max(initial=0.0)) <= tol
+
+
+def test_pattern_predicates_match_loop_references(rng):
+    # entries of 0, 1e-10 and 1e-8 on the zero pattern straddle every tol
+    checked = set()
+    for _ in range(200):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        p = rng.random((n, n, k, k))
+        mask = games.forbidden_positions(n, k, bisync=True)
+        p[mask] = rng.choice([0.0, 1e-10, 1e-8], size=int(mask.sum()),
+                             p=rng.dirichlet(np.ones(3)))
+        d = dn.Density(p)
+        for tol in (1e-12, 1e-9, 1e-6):
+            sync, bisync = dn._synchronous(d, tol), dn._bisynchronous(d, tol)
+            assert sync == loop_synchronous(d, tol)
+            assert bisync == loop_bisynchronous(d, tol)
+            checked.add((sync, bisync))
+    assert checked == {(False, False), (True, False), (True, True)}
+    with pytest.raises(ShapeMismatch):
+        dn._bisynchronous(dn.Density(np.ones((2, 3, 2, 2))), 1e-9)
+
+
+def test_response_atoms_are_the_guarded_product():
+    for n, k in [(1, 1), (2, 3), (3, 2), (4, 3), (5, 2), (5, 4)]:
+        atoms = dn._all_atoms("responses", n, k)
+        ref = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.intp)
+        assert atoms.dtype == np.intp and np.array_equal(atoms, ref)
+    with pytest.raises(TooLarge, match="exceed the guard of 3000"):
+        dn._all_atoms("responses", 6, 4)

@@ -3,8 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from bisyncgames import games
-from bisyncgames.errors import BadInput, NotSynchronous, TooLarge
+from bisyncgames import densities, games, qperm, vect
+from bisyncgames.errors import (
+    BadInput,
+    NotBijective,
+    NotSynchronous,
+    ShapeMismatch,
+    TooLarge,
+)
 from bisyncgames.games import (
     Game,
     bisync_lift,
@@ -182,3 +188,126 @@ def test_bisync_lift_of_perfect_strategy():
 def test_response_function_guard():
     with pytest.raises(TooLarge):
         list(games.response_functions(12, 4))
+
+
+# Loop references: the parent's definitions of the (bi)synchronous zero
+# pattern, the hom game and the response-function search, kept to compare
+# the vectorized code against.
+
+def loop_is_synchronous(g):
+    if g.nA != g.nB or g.kA != g.kB:
+        return False
+    off = ~np.eye(g.kA, dtype=bool)
+    return not any(g.lam[v, v][off].any() for v in range(g.nA))
+
+
+def loop_is_bisynchronous(g):
+    if not loop_is_synchronous(g):
+        return False
+    return not any(g.lam[x, y].diagonal().any()
+                   for x in range(g.nA) for y in range(g.nA) if x != y)
+
+
+def loop_hom_game(g, h):
+    n, k = g.n, h.n
+    lam = np.ones((n, n, k, k), dtype=bool)
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                lam[x, y] = np.eye(k, dtype=bool)
+            elif g.adjacency[x, y]:
+                lam[x, y] = h.adjacency
+    return Game(lam)
+
+
+def loop_has_perfect_deterministic(g):
+    if g.nA != g.nB or g.kA != g.kB:
+        return False
+    return any(all(g.lam[x, y, f[x], f[y]] for x in range(g.nA) for y in range(g.nA))
+               for f in itertools.product(range(g.kA), repeat=g.nA))
+
+
+def equivalence_games(rng, count):
+    """Random games of every kind the predicates tell apart: non-square,
+    square with n != k, synchronous and bisynchronous by construction,
+    dense ones with a perfect strategy, and hom games."""
+    out = []
+    for i in range(count):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        lam = rng.random((n, n, k, k)) < rng.uniform(0.3, 0.95)
+        kind = i % 5
+        if kind == 0:
+            lam = rng.random((n, int(rng.integers(1, 5)), k, int(rng.integers(1, 5)))) < 0.7
+        if kind in (1, 2):
+            for v in range(n):
+                lam[v, v] &= np.eye(k, dtype=bool)
+        if kind == 2:
+            for x in range(n):
+                for y in range(n):
+                    if x != y:
+                        lam[x, y] &= ~np.eye(k, dtype=bool)
+        if kind == 3:
+            f = rng.integers(k, size=n)
+            lam[np.arange(n)[:, None], np.arange(n), f[:, None], f] = True
+        out.append(Game(lam))
+        g = random_graph(rng, int(rng.integers(1, 5)))
+        h = random_graph(rng, int(rng.integers(1, 5)))
+        out.append(hom_game(g, h))
+    return out
+
+
+def test_predicates_match_loop_references(rng):
+    for g in equivalence_games(rng, 150):
+        assert is_synchronous(g) == loop_is_synchronous(g)
+        assert is_bisynchronous(g) == loop_is_bisynchronous(g)
+        assert games.has_perfect_deterministic(g) == loop_has_perfect_deterministic(g)
+        assert type(games.has_perfect_deterministic(g)) is bool
+
+
+def test_hom_game_matches_loop_reference(rng):
+    for _ in range(100):
+        g = random_graph(rng, int(rng.integers(1, 6)))
+        h = random_graph(rng, int(rng.integers(1, 6)))
+        assert np.array_equal(hom_game(g, h).lam, loop_hom_game(g, h).lam)
+
+
+def test_forbidden_positions_is_the_pattern():
+    for n, k in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+        sync = games.forbidden_positions(n, k)
+        bisync = games.forbidden_positions(n, k, bisync=True)
+        assert sync.shape == bisync.shape == (n, n, k, k)
+        for x, y, a, b in itertools.product(range(n), range(n), range(k), range(k)):
+            assert sync[x, y, a, b] == (x == y and a != b)
+            assert bisync[x, y, a, b] == ((x == y) != (a == b))
+
+
+def test_response_functions_are_the_lexicographic_product():
+    for n, k in [(1, 1), (1, 4), (3, 2), (2, 3), (5, 3), (4, 4)]:
+        fs = games.response_functions(n, k)
+        assert fs.shape == (k ** n, n) and fs.dtype == np.intp
+        assert fs.tolist() == [list(f) for f in itertools.product(range(k), repeat=n)]
+
+
+def test_perfect_deterministic_rejects_values_outside_the_outputs():
+    g = hom_game(complete_graph(2), complete_graph(2))
+    for f in ([-1, 0], [2, 0]):
+        with pytest.raises(ShapeMismatch):
+            games.is_perfect_deterministic(g, f)
+    assert games.is_perfect_deterministic(g, [1, 0])
+    assert not games.is_perfect_deterministic(g, [0, 0])
+
+
+@pytest.mark.parametrize("sigma", [[5], [0, 0], [1, 2]])
+def test_every_permutation_constructor_raises_not_bijective(sigma):
+    constructors = [
+        densities.from_permutation,
+        lambda s: densities.PermutationMixture(np.array([1.0]), (s,)),
+        qperm.from_permutation,
+        vect.permutation_strategy,
+        lambda s: games.relabel_graph(empty_graph(len(s)), s),
+    ]
+    for build in constructors:
+        with pytest.raises(NotBijective, match="is not a permutation of 0.."):
+            build(sigma)
+        with pytest.raises(BadInput):
+            build(sigma)
