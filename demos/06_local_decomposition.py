@@ -3,7 +3,8 @@
 A bisynchronous density with n inputs and n outputs is locally
 realizable exactly when its induced map is a convex mixture of
 permutation conjugations.  The membership test runs a linear program
-over all n! permutation columns: feasible densities come back with an
+over the permutations compatible with the density's support (all n!
+when the support is full): feasible densities come back with an
 explicit mixture, infeasible ones with a separating-functional
 certificate that can be verified by brute force.
 """
@@ -30,8 +31,9 @@ m = cpmaps.mixed_permutation_map(mix)
 print("Choi agreement:",
       np.abs(m.choi - cpmaps.phi_from_density(d).choi).max())
 
-# The cyclic order-3 counterexample is far from the local polytope: the
-# LP returns a separating functional.
+# The cyclic order-3 counterexample is far from the local polytope: every
+# permutation meets its zero set Z, so q -> 3 - q(Z) separates it (each
+# permutation puts 3 of its 6 ordered pairs x != y on Z).
 z3 = dn.z3_counterexample()
 cert = dn.local_bisync_membership(z3)
 print("\ncyclic example violation:", cert.violation)

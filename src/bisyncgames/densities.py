@@ -8,7 +8,7 @@ programming over deterministic strategies.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +19,19 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
     SolverFailed,
+    TooLarge,
 )
 from .games import (
+    _RESPONSE_GUARD,
     Game,
     as_permutation,
     check_response_values,
     forbidden_positions,
-    response_functions,
 )
 from .linalg import DEFAULT_TOL
 from .report import Report
 
-_FACTORIAL_GUARD = 8      # largest n for permutation-column LPs
+_FACTORIAL_GUARD = 8      # an LP poses at most 8! permutation atoms
 # HiGHS feasibility tolerances for the one re-solve near the polytope's boundary
 _TIGHT_LP = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
@@ -179,11 +180,55 @@ def _atom_mixture(atoms, weights, k: int) -> np.ndarray:
     return flat.reshape(n, n, k, k)
 
 
+def _atom_guard(family: str) -> int:
+    """The most atoms of ``family`` that may be listed or posed to one LP."""
+    return math.factorial(_FACTORIAL_GUARD) if family == "permutations" else _RESPONSE_GUARD
+
+
+def _atoms_within(family: str, n: int, k: int, allowed=None) -> np.ndarray:
+    """The permutations of [n], or the maps [n] -> [k], whose coordinates all
+    lie in the (n, n, k, k) boolean mask ``allowed`` (every one when None),
+    one per row in lexicographic order.  ``allowed`` must hold (y, x, b, a)
+    wherever it holds (x, y, a, b): an atom hits both or neither.
+
+    The maps on 0..j-1 are extended by every value v at j, and an extension
+    is kept only if (j, j, v, v) and every (i, j, f(i), v) with i < j are
+    allowed (for permutations, only if v is unused).  Raises
+    PreconditionFailed (permutations, beyond 8! rows) or TooLarge (response
+    functions, beyond 3000 rows) once the partial maps outgrow the
+    family's guard.
+    """
+    perms = family == "permutations"
+    limit = _atom_guard(family)
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for j in range(n):
+        keep = np.ones((len(rows), k), dtype=bool)
+        if perms:
+            np.put_along_axis(keep, rows, False, axis=1)
+        if allowed is not None:
+            keep &= allowed[j, j].diagonal()
+            earlier = np.arange(j)
+            keep &= allowed[earlier, j][earlier, rows].all(axis=1)
+        r, v = np.nonzero(keep)
+        if r.size > limit:
+            what = "partial permutations" if perms else "partial response functions"
+            raise (PreconditionFailed if perms else TooLarge)(
+                f"{r.size} {what} on {j + 1} of {n} inputs exceed the guard of {limit}")
+        rows = np.column_stack([rows[r], v])
+    return rows
+
+
 def _all_atoms(family: str, n: int, k: int) -> np.ndarray:
     """Every permutation of [n], or every map [n] -> [k] (guarded), one per row."""
-    if family == "permutations":
-        return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
-    return response_functions(n, k)
+    return _atoms_within(family, n, k)
+
+
+def _compatible_atoms(family: str, p: np.ndarray, tol: float) -> np.ndarray:
+    """The atoms whose coordinates all carry more than ``tol`` of ``p``, found by
+    search; row for row the atoms of ``_all_atoms`` that pass this filter."""
+    n, _, k, _ = p.shape
+    allowed = p > tol
+    return _atoms_within(family, n, k, allowed & allowed.transpose(1, 0, 3, 2))
 
 
 def from_permutation(sigma) -> Density:
@@ -298,9 +343,11 @@ class ResponseMixture:
     def __post_init__(self):
         funcs = tuple(tuple(int(v) for v in f) for f in self.functions)
         w = _convex_weights(self.weights, len(funcs), "function")
-        n, k = len(funcs[0]), self.k
-        if any(len(f) != n or not all(0 <= v < k for v in f) for f in funcs):
-            raise ShapeMismatch(f"each function must map 0..{n - 1} into 0..{k - 1}")
+        n = len(funcs[0])
+        if any(len(f) != n for f in funcs):
+            raise ShapeMismatch(f"each function must take the {n} inputs 0..{n - 1}")
+        for f in funcs:
+            check_response_values(f, self.k)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "functions", funcs)
 
@@ -315,10 +362,16 @@ class Infeasible:
 
     ``functional`` (flat, one entry per density coordinate) and ``offset``
     define f(q) = <functional, q> + offset with f <= 0 on every vertex of
-    the polytope while f(density) = ``violation`` > 0.  ``witness`` names
-    the density coordinate with the largest unmatched residual; ``atoms``
-    records which vertex family the polytope has ("permutations" or
-    "responses").
+    the polytope while f(density) = ``violation`` > tol.  The violation is
+    a separating value, not a distance: it equals the LP's sup-norm
+    distance t* only when the LP over every atom produced the functional.
+    A functional lifted from the support-compatible atoms has -M on the
+    zero set Z of the density, and its violation is at least t* - M p(Z)
+    for the LP on those atoms (README, "Local membership").  ``witness``
+    names the density coordinate with the largest residual at the closest
+    mixture, or the size of the zero set when every atom meets it;
+    ``atoms`` records which vertex family the polytope has
+    ("permutations" or "responses").
     """
 
     violation: float
@@ -420,25 +473,43 @@ def _polish_mixture(idx, p, lam, support_cut=1e-12):
     return support[keep], w[keep] / w[keep].sum()
 
 
-def _decide_membership(atoms, d, tol, wrap, atom_family):
+def _residual_witness(atoms, lam, p, k, which=""):
+    """The coordinate where the mixture ``lam`` of ``atoms`` misses ``p`` most."""
+    resid = np.abs(_atom_mixture(atoms, lam, k) - p)
+    x, y, a, b = np.unravel_index(int(resid.argmax()), p.shape)
+    return (f"p(a={a},b={b}|x={x},y={y}): residual {resid.max():.3e} "
+            f"at the closest mixture{which}")
+
+
+def _decide_membership(family, d, tol, wrap):
     """Solve, then check: a mixture is returned only if it reproduces ``d``
     within ``tol`` on every coordinate, and a certificate only if it
-    separates ``d`` by more than ``tol`` once its offset is set from its
-    maximum over every atom.
+    separates ``d`` by more than ``tol``.
 
-    The atoms whose coordinates all carry more than ``tol`` of ``p`` are
-    tried first.  An atom of weight w in a mixture within ``tol`` of ``p``
-    has p >= w - tol on each of its coordinates, so every atom carrying
-    more than 2 tol passes.  A mixture found there is checked like any
-    other; otherwise, and for every nonlocal verdict, the LP over all
-    atoms decides.  When that LP leaves the density unsettled (a mixture
-    that misses, or a certificate that does not separate by more than
-    ``tol``), it is solved once more with tight HiGHS tolerances (the
-    density then sits within solver precision of the polytope's
-    boundary)."""
-    k = d.kA
+    The compatible atoms C, whose coordinates all carry more than ``tol``
+    of ``p``, are found by search and decided first.  An atom of weight w
+    in a mixture within ``tol`` of ``p`` has p >= w - tol on each of its
+    coordinates, so every atom carrying more than 2 tol lies in C.  When C
+    is not every atom, a mixture of C from the LP on C is checked like any
+    other.  Failing that, the LP's functional (y, mu), <= 0 on C, lifts to
+    every atom: with Z the coordinates where p <= tol, every atom q scores
+    y . q + mu <= M = max(0, mu + sum over (x, y) of max over (a, b) of
+    max(y, 0)), and q(Z) is 0 on C and at least 1 off it, so y - M 1_Z
+    with offset mu is <= 0 on every atom.  With C empty the functional is
+    -1_Z with offset 1.  Within the family's guard the offset is then
+    reset to minus the functional's maximum over every atom, in the float
+    sums of :func:`separation_margins`; beyond it, it is the bound above.
+    The lifted certificate is returned if it separates ``d`` by more than
+    ``tol``.
+
+    Otherwise, and when C is every atom, the LP over all atoms decides;
+    beyond the guard the guard's error is raised instead.  When that LP
+    leaves the density unsettled (a mixture that misses, or a certificate
+    that does not separate by more than ``tol``), it is solved once more
+    with tight HiGHS tolerances (the density then sits within solver
+    precision of the polytope's boundary)."""
+    n, k = d.nA, d.kA
     flat = d.p.reshape(-1)
-    idx = _atom_coordinates(atoms, k)
 
     def checked_mixture(cand_atoms, cand_idx, lam):
         support, weights = _polish_mixture(cand_idx, d.p, lam)
@@ -446,24 +517,45 @@ def _decide_membership(atoms, d, tol, wrap, atom_family):
         err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
         return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
 
-    keep = np.flatnonzero(flat[idx].min(axis=1) > tol)
-    if 0 < keep.size < len(atoms):
-        t_star, lam, _, _ = _membership_lp(idx[keep], d.p)
-        if t_star <= tol:
-            found, _ = checked_mixture(atoms[keep], idx[keep], lam)
-            if found is not None:
-                return found
+    atoms = _compatible_atoms(family, d.p, tol)
+    idx = _atom_coordinates(atoms, k)
+    total = math.factorial(n) if family == "permutations" else k ** n
+    if len(atoms) < total:
+        zero = flat <= tol
+        if len(atoms):
+            t_star, lam, y, mu = _membership_lp(idx, d.p)
+            if t_star <= tol:
+                found, _ = checked_mixture(atoms, idx, lam)
+                if found is not None:
+                    return found
+            top = float(np.maximum(y, 0.0).reshape(n * n, k * k).max(axis=1).sum())
+            lift = max(0.0, mu + top)
+            witness = _residual_witness(atoms, lam, d.p, k,
+                                        f" of the {len(atoms)} atoms that avoid p <= tol")
+        else:
+            y, top, lift = np.zeros(flat.size), 0.0, 1.0
+            witness = f"every atom meets the {int(zero.sum())} coordinates where p <= tol"
+        functional = y - lift * zero
+        listable = total <= _atom_guard(family)
+        if listable:
+            atoms = _all_atoms(family, n, k)
+            idx = _atom_coordinates(atoms, k)
+            offset = -float(functional[idx].sum(axis=1).max())
+        else:
+            offset = -max(float(functional[idx].sum(axis=1).max(initial=-np.inf)), top - lift)
+        violation = float(functional @ flat) + offset
+        if violation > tol:
+            return Infeasible(violation, functional, offset, witness, family)
+        if not listable:
+            _all_atoms(family, n, k)    # raises the guard's error
     for options in (None, _TIGHT_LP):
         t_star, lam, y, _ = _membership_lp(idx, d.p, options)
         if t_star > tol:
             offset = -float(y[idx].sum(axis=1).max())
             violation = float(y @ flat) + offset
             if violation > tol:
-                resid = np.abs(_atom_mixture(atoms, lam, k) - d.p)
-                x, yy, aa, bb = np.unravel_index(int(resid.argmax()), d.p.shape)
-                witness = (f"p(a={aa},b={bb}|x={x},y={yy}): residual {resid.max():.3e} "
-                           f"at the closest mixture")
-                return Infeasible(violation, y, offset, witness, atom_family)
+                return Infeasible(violation, y, offset, _residual_witness(atoms, lam, d.p, k),
+                                  family)
             gap = f"its certificate separates by only {violation:.3e}"
             continue
         found, err = checked_mixture(atoms, idx, lam)
@@ -480,6 +572,15 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     Feasible inputs yield a PermutationMixture reproducing the density
     within ``tol`` per entry (the decomposition is not unique); otherwise
     an :class:`Infeasible` certificate is returned.
+
+    The permutations compatible with the support (every coordinate above
+    ``tol``) are found by search and decided first.  A nonlocal verdict on
+    a density without full support lifts the LP's functional on them to
+    every permutation, so its ``violation`` is a separating value, not the
+    distance t* of the LP over all n! permutations, which decides the
+    rest (README, "Local membership").  n is bounded only through the
+    guard: PreconditionFailed is raised when the search or an LP would
+    hold more than 8! permutations.
     """
     if not validate(d, tol):
         raise PreconditionFailed("density must be valid")
@@ -487,32 +588,23 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
         raise PreconditionFailed("need n inputs and n outputs for both players")
     if not _bisynchronous(d, tol):
         raise PreconditionFailed("density must be bisynchronous")
-    n = d.nA
-    if n > _FACTORIAL_GUARD:
-        raise PreconditionFailed(f"n = {n} exceeds the factorial guard {_FACTORIAL_GUARD}")
-    return _decide_membership(
-        _all_atoms("permutations", n, n), d, tol,
-        lambda w, kept: PermutationMixture(w, kept),
-        "permutations",
-    )
+    return _decide_membership("permutations", d, tol,
+                              lambda w, kept: PermutationMixture(w, kept))
 
 
 def local_sync_membership(d: Density, tol: float = DEFAULT_TOL):
     """Membership of a synchronous density in the local polytope.
 
-    Columns are the k^n shared response functions; guarded by an explicit
-    TooLarge error.
+    Atoms are the k^n shared response functions; TooLarge is raised when
+    an LP would pose more than 3000 of them.
     """
     if not validate(d, tol):
         raise PreconditionFailed("density must be valid")
     if not _synchronous(d, tol):
         raise PreconditionFailed("density must be synchronous")
-    n, k = d.nA, d.kA
-    return _decide_membership(
-        _all_atoms("responses", n, k), d, tol,
-        lambda w, kept: ResponseMixture(w, kept, k),
-        "responses",
-    )
+    k = d.kA
+    return _decide_membership("responses", d, tol,
+                              lambda w, kept: ResponseMixture(w, kept, k))
 
 
 def separation_margins(d: Density, cert: Infeasible):
@@ -521,6 +613,8 @@ def separation_margins(d: Density, cert: Infeasible):
     A valid certificate has the first value <= ~0 and the second equal to
     the reported violation.  The atom family (all permutations, or all
     shared response functions) is the one recorded on the certificate.
+    Every atom is listed, so beyond 8! permutations PreconditionFailed is
+    raised, and beyond 3000 response functions TooLarge.
     """
     n, k = d.nA, d.kA
     value_at_d = float(cert.functional @ d.p.reshape(-1) + cert.offset)

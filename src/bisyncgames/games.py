@@ -8,6 +8,7 @@ True when the answer pair (a, b) to the question pair (x, y) wins.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,15 @@ import numpy as np
 from .errors import BadInput, NotBijective, NotSynchronous, ShapeMismatch, TooLarge
 
 _RESPONSE_GUARD = 3000  # max number of response functions to enumerate
+# max entries of a tensor allocated from declared sizes (the m = 48 iso game has 5.3e6)
+_ENTRY_GUARD = 10 ** 7
+
+
+def check_entries(*sizes: int) -> None:
+    """TooLarge when a tensor of these sizes would exceed the entry guard."""
+    if math.prod(sizes) > _ENTRY_GUARD:
+        raise TooLarge(f"a {' x '.join(map(str, sizes))} tensor exceeds the guard of "
+                       f"{_ENTRY_GUARD} entries")
 
 
 def forbidden_positions(n: int, k: int, bisync: bool = False) -> np.ndarray:
@@ -171,6 +181,7 @@ def hom_game(g: Graph, h: Graph) -> Game:
     Loses exactly when equal inputs get unequal outputs, or when an edge
     of ``g`` is answered by a non-edge of ``h``.
     """
+    check_entries(g.n, g.n, h.n, h.n)
     lam = ~forbidden_positions(g.n, h.n)
     lam[g.adjacency] = h.adjacency
     return Game(lam)
@@ -194,6 +205,7 @@ def iso_game(g: Graph, h: Graph) -> Game:
     """
     ng, nh = g.n, h.n
     m = ng + nh
+    check_entries(m, m, m, m)
 
     def side(v):  # (graph index, vertex within it)
         return (0, v) if v < ng else (1, v - ng)
@@ -228,6 +240,7 @@ def bisync_lift(g: Game) -> Game:
     if not is_synchronous(g):
         raise NotSynchronous("bisync_lift requires a synchronous game")
     n, k = g.nA, g.kA
+    check_entries(n, n, n * k, n * k)
     lifted = np.zeros((n, n, n * k, n * k), dtype=bool)
     for x in range(n):
         for y in range(n):

@@ -22,7 +22,7 @@ import numpy as np
 from .cpmaps import ChoiMap
 from .densities import Density, PermutationMixture
 from .errors import BadInput
-from .games import Game, Graph, graph_from_edges
+from .games import Game, Graph, check_entries, graph_from_edges
 from .qperm import ProjectiveSystem
 from .vect import VectorStrategy
 
@@ -54,6 +54,7 @@ def graph_to_dict(g: Graph) -> dict:
 def graph_from_dict(d: dict) -> Graph:
     try:
         n = int(d["n"])
+        check_entries(n, n)
         return graph_from_edges(n, _index_tuples(d.get("edges", []), (n, n), "edge"))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad graph JSON: {exc}")
@@ -70,6 +71,7 @@ def game_to_dict(g: Game) -> dict:
 def game_from_dict(d: dict) -> Game:
     try:
         shape = (int(d["nA"]), int(d["nB"]), int(d["kA"]), int(d["kB"]))
+        check_entries(*shape)
         lam = np.ones(shape, dtype=bool)
         for t in _index_tuples(d.get("zeros", []), shape, "zero tuple"):
             lam[t] = False

@@ -330,6 +330,15 @@ _MALFORMED = {
     "matrix without columns":
         ["qperm", "apply", "--in", _swap_system_rows(2),
          {"rows": 2, "cols": 0, "entries": [[], []]}],
+    # sizes beyond the 10^7-entry guard, refused before anything is allocated
+    "game header beyond the entry guard":
+        ["game", "check", "--in", {"nA": 1000000, "nB": 1000000, "kA": 1, "kB": 1}],
+    "graph header beyond the entry guard":
+        ["game", "hom", {"n": 10000, "edges": []}, {"n": 2, "edges": []}],
+    "hom game beyond the entry guard":
+        ["game", "hom", {"n": 3000, "edges": []}, {"n": 3000, "edges": []}],
+    "lifted game beyond the entry guard":
+        ["game", "lift", "--in", {"nA": 1000, "nB": 1000, "kA": 1, "kB": 1}],
 }
 
 
@@ -347,3 +356,4 @@ def test_malformed_json_exits_2_without_traceback(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+

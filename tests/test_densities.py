@@ -235,12 +235,23 @@ def test_membership_z3_infeasible_with_certificate():
     assert at_d == pytest.approx(res.violation, abs=1e-9)
 
 
+def closed_form_uniform(n):
+    """U_n without listing S_n: 1/n on x = y, a = b; 1/(n(n-1)) on x != y, a != b."""
+    x, y, a, b = np.indices((n, n, n, n))
+    return np.where(x == y, (a == b) / n, (a != b) / (n * (n - 1)))
+
+
 def test_membership_preconditions():
     with pytest.raises(PreconditionFailed):
         dn.local_bisync_membership(dn.uniform_density(2, 2))
-    big = dn.from_permutation(range(9))
-    with pytest.raises(PreconditionFailed):
-        dn.local_bisync_membership(big)
+    # the guard bounds the permutations an LP would pose, not n: a single
+    # permutation of 9 points is one compatible atom, while U_9 makes the
+    # search outgrow 8! partial permutations
+    single = dn.local_bisync_membership(dn.from_permutation(range(9)))
+    assert isinstance(single, dn.PermutationMixture)
+    assert single.permutations == (tuple(range(9)),)
+    with pytest.raises(PreconditionFailed, match="exceed the guard of 40320"):
+        dn.local_bisync_membership(dn.Density(closed_form_uniform(9)))
 
 
 @pytest.mark.parametrize("decide", [dn.local_bisync_membership, dn.local_sync_membership])
@@ -276,8 +287,16 @@ def test_sync_membership_feasible_and_guard(rng):
     assert isinstance(res, dn.ResponseMixture)
     recon = dn.response_mixture_density(res)
     assert np.abs(recon.p - d.p).max() <= 1e-9
-    with pytest.raises(TooLarge):
-        dn.local_sync_membership(dn.from_response_function([0] * 12, 4))
+    # a deterministic k = 4, n = 12 density has one compatible atom of 4^12
+    det = dn.local_sync_membership(dn.from_response_function([0] * 12, 4))
+    assert isinstance(det, dn.ResponseMixture)
+    assert det.functions == ((0,) * 12,)
+    # the uniform mixture of all 4^12 response functions makes the search
+    # outgrow the guard
+    x, y, a, b = np.indices((12, 12, 4, 4))
+    uniform = np.where(x == y, (a == b) / 4, 1 / 16)
+    with pytest.raises(TooLarge, match="exceed the guard of 3000"):
+        dn.local_sync_membership(dn.Density(uniform))
 
 
 def test_sync_membership_rejects_entangled_like_density():
@@ -576,3 +595,164 @@ def test_response_atoms_are_the_guarded_product():
         assert atoms.dtype == np.intp and np.array_equal(atoms, ref)
     with pytest.raises(TooLarge, match="exceed the guard of 3000"):
         dn._all_atoms("responses", 6, 4)
+
+
+# ---------------------------------------------------------------------------
+# The compatible atoms by search, and the certificate lifted from them
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(["permutations", "responses"]),
+       n=st.integers(1, 6), k=st.integers(1, 4), atoms=st.integers(0, 8),
+       fill=st.sampled_from([0.0, 0.05, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_compatible_search_equals_the_filtered_listing(family, n, k, atoms, fill, seed):
+    if family == "permutations":
+        k = n
+    elif k ** n > 3000:
+        k = 3
+    rng = np.random.default_rng(seed)
+    draw = (lambda: rng.permutation(n)) if family == "permutations" else \
+        (lambda: rng.integers(k, size=n))
+    p = sum((rng.random() * loop_density(draw(), k) for _ in range(atoms)),
+            np.zeros((n, n, k, k)))
+    # noise on a random share of the entries, straddling tol; fill 1 with
+    # values above tol everywhere gives full support, fill 0 and no atoms
+    # the empty set
+    noise = rng.choice([1e-10, 1e-9, 1e-8, 0.5], size=p.shape)
+    p += np.where(rng.random(p.shape) < fill, noise, 0.0)
+    if fill == 1.0:
+        p += 1e-8
+    tol = dn.DEFAULT_TOL
+    listed = dn._all_atoms(family, n, k)
+    expect = listed[p.reshape(-1)[dn._atom_coordinates(listed, k)].min(axis=1) > tol]
+    found = dn._compatible_atoms(family, p, tol)
+    assert found.dtype == np.intp and found.shape == expect.shape
+    assert np.array_equal(found, expect)
+    if fill == 1.0:
+        assert np.array_equal(found, listed)
+    if fill == 0.0 and atoms == 0:
+        assert found.shape == (0, n)
+
+
+def test_permutation_atoms_are_itertools_order():
+    for n in range(1, 8):
+        ref = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        assert np.array_equal(dn._all_atoms("permutations", n, n), ref)
+
+
+def sparse_nonlocal(rng, family, n, k, atoms):
+    """(1 - s) * a mixture of a few random atoms + s * z_{n,k}."""
+    if family == "permutations":
+        draws, s = [rng.permutation(n) for _ in range(atoms)], rng.uniform(0.05, 0.5)
+    else:
+        draws, s = [rng.integers(k, size=n) for _ in range(atoms)], rng.uniform(0.45, 0.7)
+    w = rng.dirichlet(np.ones(atoms))
+    p = sum(wj * loop_density(f, k) for wj, f in zip(w, draws))
+    return dn.Density((1 - s) * p + s * cyclic_density(n, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["permutations", "responses"]), n=st.integers(4, 7),
+       atoms=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_lifted_certificates_are_checked_over_every_atom(family, n, atoms, seed):
+    k = n if family == "permutations" else 3
+    d = sparse_nonlocal(np.random.default_rng(seed), family, n, k, atoms)
+    decide = dn.local_bisync_membership if family == "permutations" else \
+        dn.local_sync_membership
+    res = decide(d)
+    assert isinstance(res, dn.Infeasible) and res.atoms == family
+    assert res.violation > dn.DEFAULT_TOL
+    on_polytope, at_d = dn.separation_margins(d, res)
+    # the offset is minus the functional's maximum in the same float sums
+    assert on_polytope <= 0.0
+    assert at_d == res.violation
+
+
+def zero_set_mass(d):
+    flat = d.p.reshape(-1)
+    return float(flat[flat <= dn.DEFAULT_TOL].sum())
+
+
+def test_no_compatible_atom_gives_the_zero_set_certificate():
+    # z_n: no permutation keeps a - b = 1 (mod n) on both (x, y) and (y, x)
+    z5 = dn.Density(cyclic_density(5, 5))
+    assert dn._compatible_atoms("permutations", z5.p, dn.DEFAULT_TOL).shape == (0, 5)
+    res = dn.local_bisync_membership(z5)
+    assert isinstance(res, dn.Infeasible)
+    assert np.array_equal(res.functional, -1.0 * (z5.p.reshape(-1) <= dn.DEFAULT_TOL))
+    # 1 - q(Z) <= 0 on every atom; within the guard the offset is then
+    # tightened to the least q(Z): every permutation puts 15 of its 20
+    # ordered pairs x != y on the zero set
+    assert res.offset == 15.0
+    assert res.violation == res.offset - zero_set_mass(z5) >= 1 - zero_set_mass(z5)
+    assert dn.separation_margins(z5, res) == (0.0, res.violation)
+    # beyond the guard the offset is the bound 1 itself
+    z9 = dn.Density(cyclic_density(9, 9))
+    res = dn.local_bisync_membership(z9)
+    assert isinstance(res, dn.Infeasible)
+    assert res.offset == 1.0 and res.violation == 1 - zero_set_mass(z9)
+    # 9^4 coordinates, of which 81 diagonal and 72 * 9 cyclic ones carry mass
+    assert res.witness == "every atom meets the 5832 coordinates where p <= tol"
+
+
+def test_lifted_offset_beyond_the_guard_holds_on_every_atom():
+    # n = 9: the offset comes from the bound, not from a sweep; check it
+    # against all 9! permutations, listed 8! at a time by their first value
+    n = 9
+    rng = np.random.default_rng(3)
+    d = dn.Density(0.8 * random_permutation_mixture(rng, n, 4).p + 0.2 * cyclic_density(n, n))
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.Infeasible) and res.violation > dn.DEFAULT_TOL
+    assert "atoms that avoid p <= tol" in res.witness
+    rest = dn._all_atoms("permutations", n - 1, n - 1)
+    worst = -np.inf
+    for first in range(n):
+        others = np.delete(np.arange(n), first)
+        perms = np.column_stack([np.full(len(rest), first), others[rest]])
+        idx = dn._atom_coordinates(perms, n)
+        worst = max(worst, float((res.functional[idx].sum(axis=1) + res.offset).max()))
+    assert worst <= 1e-12
+    assert float(res.functional @ d.p.reshape(-1) + res.offset) == res.violation
+
+
+def test_separation_margins_is_guarded_without_listing():
+    z9 = dn.Density(cyclic_density(9, 9))
+    cert = dn.local_bisync_membership(z9)
+    # the search stops at the first partial listing beyond 8! rows
+    with pytest.raises(PreconditionFailed, match="on 6 of 9 inputs exceed the guard"):
+        dn.separation_margins(z9, cert)
+    z12 = dn.Density(cyclic_density(12, 4))
+    cert = dn.local_sync_membership(z12)
+    assert isinstance(cert, dn.Infeasible) and cert.atoms == "responses"
+    with pytest.raises(TooLarge, match="exceed the guard of 3000"):
+        dn.separation_margins(z12, cert)
+
+
+def test_sparse_mixture_at_n10_is_decided_on_its_compatible_atoms(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("all atoms listed")
+
+    d = random_permutation_mixture(np.random.default_rng(5), 10, 3)
+    monkeypatch.setattr(dn, "_all_atoms", no_listing)
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.PermutationMixture)
+    assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
+
+
+def test_sparse_n8_nonlocal_poses_no_full_lp(monkeypatch):
+    mix = random_permutation_mixture(np.random.default_rng(7), 8, 6)
+    d = dn.Density(0.9 * mix.p + 0.1 * cyclic_density(8, 8))
+    calls = spy_linprog(monkeypatch)
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.Infeasible) and res.violation > dn.DEFAULT_TOL
+    assert calls and all(atoms < math.factorial(8) for atoms, _ in calls)
+    on_polytope, at_d = dn.separation_margins(d, res)
+    assert on_polytope <= 0.0 and at_d == res.violation
+
+
+def test_response_mixture_shares_the_range_message():
+    with pytest.raises(ShapeMismatch) as mixture_error:
+        dn.ResponseMixture([1.0], ((0, 5),), 2)
+    with pytest.raises(ShapeMismatch) as density_error:
+        dn.from_response_function((0, 5), 2)
+    assert str(mixture_error.value) == str(density_error.value)
