@@ -8,6 +8,7 @@ programming over deterministic strategies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,19 +20,18 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
     SolverFailed,
-    TooLarge,
 )
 from .games import (
-    _RESPONSE_GUARD,
+    ATOM_GUARD,
     Game,
     as_permutation,
+    atoms_within,
     check_response_values,
     forbidden_positions,
 )
 from .linalg import DEFAULT_TOL
 from .report import Report
 
-_FACTORIAL_GUARD = 8      # an LP poses at most 8! permutation atoms
 # HiGHS feasibility tolerances for the one re-solve near the polytope's boundary
 _TIGHT_LP = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
@@ -180,55 +180,9 @@ def _atom_mixture(atoms, weights, k: int) -> np.ndarray:
     return flat.reshape(n, n, k, k)
 
 
-def _atom_guard(family: str) -> int:
-    """The most atoms of ``family`` that may be listed or posed to one LP."""
-    return math.factorial(_FACTORIAL_GUARD) if family == "permutations" else _RESPONSE_GUARD
-
-
-def _atoms_within(family: str, n: int, k: int, allowed=None) -> np.ndarray:
-    """The permutations of [n], or the maps [n] -> [k], whose coordinates all
-    lie in the (n, n, k, k) boolean mask ``allowed`` (every one when None),
-    one per row in lexicographic order.  ``allowed`` must hold (y, x, b, a)
-    wherever it holds (x, y, a, b): an atom hits both or neither.
-
-    The maps on 0..j-1 are extended by every value v at j, and an extension
-    is kept only if (j, j, v, v) and every (i, j, f(i), v) with i < j are
-    allowed (for permutations, only if v is unused).  Raises
-    PreconditionFailed (permutations, beyond 8! rows) or TooLarge (response
-    functions, beyond 3000 rows) once the partial maps outgrow the
-    family's guard.
-    """
-    perms = family == "permutations"
-    limit = _atom_guard(family)
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for j in range(n):
-        keep = np.ones((len(rows), k), dtype=bool)
-        if perms:
-            np.put_along_axis(keep, rows, False, axis=1)
-        if allowed is not None:
-            keep &= allowed[j, j].diagonal()
-            earlier = np.arange(j)
-            keep &= allowed[earlier, j][earlier, rows].all(axis=1)
-        r, v = np.nonzero(keep)
-        if r.size > limit:
-            what = "partial permutations" if perms else "partial response functions"
-            raise (PreconditionFailed if perms else TooLarge)(
-                f"{r.size} {what} on {j + 1} of {n} inputs exceed the guard of {limit}")
-        rows = np.column_stack([rows[r], v])
-    return rows
-
-
-def _all_atoms(family: str, n: int, k: int) -> np.ndarray:
-    """Every permutation of [n], or every map [n] -> [k] (guarded), one per row."""
-    return _atoms_within(family, n, k)
-
-
-def _compatible_atoms(family: str, p: np.ndarray, tol: float) -> np.ndarray:
-    """The atoms whose coordinates all carry more than ``tol`` of ``p``, found by
-    search; row for row the atoms of ``_all_atoms`` that pass this filter."""
-    n, _, k, _ = p.shape
-    allowed = p > tol
-    return _atoms_within(family, n, k, allowed & allowed.transpose(1, 0, 3, 2))
+def _atom_scores(functional, atoms, k: int) -> np.ndarray:
+    """<functional, density of atom j> for each row j of ``atoms``, in one float sum each."""
+    return functional[_atom_coordinates(atoms, k)].sum(axis=1)
 
 
 def from_permutation(sigma) -> Density:
@@ -486,82 +440,80 @@ def _decide_membership(family, d, tol, wrap):
     within ``tol`` on every coordinate, and a certificate only if it
     separates ``d`` by more than ``tol``.
 
-    The compatible atoms C, whose coordinates all carry more than ``tol``
-    of ``p``, are found by search and decided first.  An atom of weight w
-    in a mixture within ``tol`` of ``p`` has p >= w - tol on each of its
-    coordinates, so every atom carrying more than 2 tol lies in C.  When C
-    is not every atom, a mixture of C from the LP on C is checked like any
-    other.  Failing that, the LP's functional (y, mu), <= 0 on C, lifts to
-    every atom: with Z the coordinates where p <= tol, every atom q scores
-    y . q + mu <= M = max(0, mu + sum over (x, y) of max over (a, b) of
-    max(y, 0)), and q(Z) is 0 on C and at least 1 off it, so y - M 1_Z
-    with offset mu is <= 0 on every atom.  With C empty the functional is
-    -1_Z with offset 1.  Within the family's guard the offset is then
-    reset to minus the functional's maximum over every atom, in the float
-    sums of :func:`separation_margins`; beyond it, it is the bound above.
-    The lifted certificate is returned if it separates ``d`` by more than
-    ``tol``.
-
-    Otherwise, and when C is every atom, the LP over all atoms decides;
-    beyond the guard the guard's error is raised instead.  When that LP
+    Two atom sets are posed in turn: first the compatible atoms C, whose
+    coordinates all carry more than ``tol`` of ``p``, found by search;
+    then, when C is not every atom, every atom (the search raises the
+    guard's error beyond the family's guard).  An atom of weight w in a
+    mixture within ``tol`` of ``p`` has p >= w - tol on each of its
+    coordinates, so every atom carrying more than 2 tol lies in C.  Each
+    set's LP is solved with HiGHS's default tolerances and, when that
     leaves the density unsettled (a mixture that misses, or a certificate
-    that does not separate by more than ``tol``), it is solved once more
-    with tight HiGHS tolerances (the density then sits within solver
-    precision of the polytope's boundary)."""
+    that does not separate by more than ``tol``), once more with tight
+    ones (the density then sits within solver precision of the polytope's
+    boundary).  With t* <= tol the polished mixture is checked.
+
+    The LP's functional (y, mu), <= 0 on the set posed, is then lifted to
+    every atom.  On a proper subset: with Z the coordinates where
+    p <= tol, every atom q scores y . q + mu <= M = max(0, mu + sum over
+    (x, y) of max over (a, b) of max(y, 0)), and q(Z) is 0 on C and at
+    least 1 off it, so y - M 1_Z with offset mu is <= 0 on every atom.
+    With C empty there is no LP: t* is infinite, and y = 0, mu = 1 gives
+    the functional -1_Z with offset 1.  On every atom the functional is y
+    itself.  Within the family's guard the offset is reset to minus the
+    functional's maximum over every atom, in the float sums of
+    :func:`separation_margins`; beyond it, it is the bound above."""
     n, k = d.nA, d.kA
     flat = d.p.reshape(-1)
-
-    def checked_mixture(cand_atoms, cand_idx, lam):
-        support, weights = _polish_mixture(cand_idx, d.p, lam)
-        kept = cand_atoms[support]
-        err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
-        return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
-
-    atoms = _compatible_atoms(family, d.p, tol)
-    idx = _atom_coordinates(atoms, k)
+    zero = flat <= tol
+    allowed = ~zero.reshape(d.p.shape)
+    compatible = atoms_within(family, n, k, allowed & allowed.transpose(1, 0, 3, 2))
     total = math.factorial(n) if family == "permutations" else k ** n
-    if len(atoms) < total:
-        zero = flat <= tol
-        if len(atoms):
-            t_star, lam, y, mu = _membership_lp(idx, d.p)
-            if t_star <= tol:
-                found, _ = checked_mixture(atoms, idx, lam)
-                if found is not None:
-                    return found
-            top = float(np.maximum(y, 0.0).reshape(n * n, k * k).max(axis=1).sum())
-            lift = max(0.0, mu + top)
-            witness = _residual_witness(atoms, lam, d.p, k,
-                                        f" of the {len(atoms)} atoms that avoid p <= tol")
-        else:
-            y, top, lift = np.zeros(flat.size), 0.0, 1.0
-            witness = f"every atom meets the {int(zero.sum())} coordinates where p <= tol"
+    listable = total <= ATOM_GUARD[family]
+    # every atom, listed at most once and only when a sweep or an LP needs it
+    every = functools.cache(
+        lambda: compatible if len(compatible) == total else atoms_within(family, n, k))
+
+    def atom_sets():
+        yield compatible
+        if len(compatible) < total:
+            yield every()
+
+    def certificate(atoms, lam, y, mu):
+        """The functional (y, mu), <= 0 on ``atoms``, as a certificate over every atom."""
+        top = float(np.maximum(y, 0.0).reshape(n * n, k * k).max(axis=1).sum())
+        lift = max(0.0, mu + top) if len(atoms) < total else 0.0
         functional = y - lift * zero
-        listable = total <= _atom_guard(family)
         if listable:
-            atoms = _all_atoms(family, n, k)
-            idx = _atom_coordinates(atoms, k)
-            offset = -float(functional[idx].sum(axis=1).max())
+            offset = -float(_atom_scores(functional, every(), k).max())
         else:
-            offset = -max(float(functional[idx].sum(axis=1).max(initial=-np.inf)), top - lift)
-        violation = float(functional @ flat) + offset
-        if violation > tol:
-            return Infeasible(violation, functional, offset, witness, family)
-        if not listable:
-            _all_atoms(family, n, k)    # raises the guard's error
-    for options in (None, _TIGHT_LP):
-        t_star, lam, y, _ = _membership_lp(idx, d.p, options)
-        if t_star > tol:
-            offset = -float(y[idx].sum(axis=1).max())
-            violation = float(y @ flat) + offset
-            if violation > tol:
-                return Infeasible(violation, y, offset, _residual_witness(atoms, lam, d.p, k),
-                                  family)
-            gap = f"its certificate separates by only {violation:.3e}"
-            continue
-        found, err = checked_mixture(atoms, idx, lam)
-        if found is not None:
-            return found
-        gap = f"the closest mixture found is {err:.3e} away"
+            offset = -max(float(_atom_scores(functional, atoms, k).max(initial=-np.inf)),
+                          top - lift)
+        if not len(atoms):
+            witness = f"every atom meets the {int(zero.sum())} coordinates where p <= tol"
+        else:
+            which = f" of the {len(atoms)} atoms that avoid p <= tol" if len(atoms) < total else ""
+            witness = _residual_witness(atoms, lam, d.p, k, which)
+        return Infeasible(float(functional @ flat) + offset, functional, offset, witness, family)
+
+    for atoms in atom_sets():
+        idx = _atom_coordinates(atoms, k)
+        # an empty set has no LP to solve, nor to solve again
+        for options in (None, _TIGHT_LP) if len(atoms) else (None,):
+            if len(atoms):
+                t_star, lam, y, mu = _membership_lp(idx, d.p, options)
+            else:
+                t_star, lam, y, mu = np.inf, None, np.zeros(flat.size), 1.0
+            if t_star <= tol:
+                support, weights = _polish_mixture(idx, d.p, lam)
+                kept = atoms[support]
+                err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
+                if err <= tol:
+                    return wrap(weights, tuple(map(tuple, kept.tolist())))
+            cert = certificate(atoms, lam, y, mu)
+            if cert.violation > tol:
+                return cert
+    gap = (f"the closest mixture found is {err:.3e} away" if t_star <= tol
+           else f"its certificate separates by only {cert.violation:.3e}")
     raise SolverFailed(f"the LP puts the density t* = {t_star:.3e} from the local "
                        f"polytope, but {gap} (tol {tol:g})")
 
@@ -618,6 +570,5 @@ def separation_margins(d: Density, cert: Infeasible):
     """
     n, k = d.nA, d.kA
     value_at_d = float(cert.functional @ d.p.reshape(-1) + cert.offset)
-    idx = _atom_coordinates(_all_atoms(cert.atoms, n, k), k)
-    worst = float((cert.functional[idx].sum(axis=1) + cert.offset).max())
-    return worst, value_at_d
+    scores = _atom_scores(cert.functional, atoms_within(cert.atoms, n, k), k)
+    return float((scores + cert.offset).max()), value_at_d

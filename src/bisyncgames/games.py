@@ -7,15 +7,22 @@ True when the answer pair (a, b) to the question pair (x, y) wins.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInput, NotBijective, NotSynchronous, ShapeMismatch, TooLarge
+from .errors import (
+    BadInput,
+    NotBijective,
+    NotSynchronous,
+    PreconditionFailed,
+    ShapeMismatch,
+    TooLarge,
+)
 
-_RESPONSE_GUARD = 3000  # max number of response functions to enumerate
+# the most partial atoms one search may hold: 8! permutations, 3000 response functions
+ATOM_GUARD = {"permutations": math.factorial(8), "responses": 3000}
 # max entries of a tensor allocated from declared sizes (the m = 48 iso game has 5.3e6)
 _ENTRY_GUARD = 10 ** 7
 
@@ -35,11 +42,37 @@ def forbidden_positions(n: int, k: int, bisync: bool = False) -> np.ndarray:
     return same_q != same_a if bisync else same_q & ~same_a
 
 
-def response_functions(n: int, k: int) -> np.ndarray:
-    """All k^n response functions [n] -> [k], one per row, in lexicographic order."""
-    if k ** n > _RESPONSE_GUARD:
-        raise TooLarge(f"{k}^{n} response functions exceed the guard of {_RESPONSE_GUARD}")
-    return np.indices((k,) * n, dtype=np.intp).reshape(n, k ** n).T
+def atoms_within(family: str, n: int, k: int, allowed=None) -> np.ndarray:
+    """The permutations of [n] (``family`` "permutations"), or the response
+    functions [n] -> [k] ("responses"), whose coordinates (x, y, f(x), f(y))
+    all lie in the (n, n, k, k) boolean mask ``allowed`` (every one when
+    None), one per row in lexicographic order.  ``allowed`` must hold
+    (y, x, b, a) wherever it holds (x, y, a, b): an atom hits both or neither.
+
+    The maps on 0..j-1 are extended by every value v at j, and an extension
+    is kept only if (j, j, v, v) and every (i, j, f(i), v) with i < j are
+    allowed (for permutations, only if v is unused).  Raises
+    PreconditionFailed (permutations) or TooLarge (response functions) once
+    the partial maps outgrow the family's ``ATOM_GUARD``.
+    """
+    perms = family == "permutations"
+    limit = ATOM_GUARD[family]
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for j in range(n):
+        keep = np.ones((len(rows), k), dtype=bool)
+        if perms:
+            np.put_along_axis(keep, rows, False, axis=1)
+        if allowed is not None:
+            keep &= allowed[j, j].diagonal()
+            earlier = np.arange(j)
+            keep &= allowed[earlier, j][earlier, rows].all(axis=1)
+        r, v = np.nonzero(keep)
+        if r.size > limit:
+            what = "partial permutations" if perms else "partial response functions"
+            raise (PreconditionFailed if perms else TooLarge)(
+                f"{r.size} {what} on {j + 1} of {n} inputs exceed the guard of {limit}")
+        rows = np.column_stack([rows[r], v])
+    return rows
 
 
 def check_response_values(f, k: int) -> None:
@@ -187,13 +220,6 @@ def hom_game(g: Graph, h: Graph) -> Game:
     return Game(lam)
 
 
-def _iso_relation(graph: Graph, u: int, v: int) -> int:
-    # 0 = equal, 1 = adjacent, 2 = distinct non-adjacent
-    if u == v:
-        return 0
-    return 1 if graph.adjacency[u, v] else 2
-
-
 def iso_game(g: Graph, h: Graph) -> Game:
     """Isomorphism game on the tagged disjoint union of V(g) and V(h).
 
@@ -203,26 +229,22 @@ def iso_game(g: Graph, h: Graph) -> Game:
     the two g-side vertices must match the one among the two h-side
     vertices.
     """
-    ng, nh = g.n, h.n
-    m = ng + nh
+    ng = g.n
+    m = ng + h.n
     check_entries(m, m, m, m)
-
-    def side(v):  # (graph index, vertex within it)
-        return (0, v) if v < ng else (1, v - ng)
-
-    lam = np.zeros((m, m, m, m), dtype=bool)
-    for x, y, a, b in itertools.product(range(m), repeat=4):
-        sx, vx = side(x)
-        sy, vy = side(y)
-        sa, va = side(a)
-        sb, vb = side(b)
-        if sa == sx or sb == sy:
-            continue  # answers must lie in the opposite graph
-        g_alice, h_alice = (vx, va) if sx == 0 else (va, vx)
-        g_bob, h_bob = (vy, vb) if sy == 0 else (vb, vy)
-        if _iso_relation(g, g_alice, g_bob) == _iso_relation(h, h_alice, h_bob):
-            lam[x, y, a, b] = True
-    return Game(lam)
+    # relation of two vertices of one graph: 0 equal, 1 adjacent, 2 distinct non-adjacent
+    rel_g, rel_h = (np.where(np.eye(r.n, dtype=bool), 0, 2 - r.adjacency).astype(np.int8)
+                    for r in (g, h))
+    q, a = np.arange(m)[:, None], np.arange(m)
+    opposite = (q < ng) != (a < ng)  # [question, answer]
+    # of a question and an answer from opposite sides the smaller is the
+    # g-side vertex; elsewhere the clipped indices are masked out below
+    g_of = np.minimum(q, a).clip(max=ng - 1)
+    h_of = (np.maximum(q, a) - ng).clip(min=0)
+    # Alice's pair (x, a) spans axes 0 and 2 of lam[x, y, a, b], Bob's (y, b) axes 1 and 3
+    lam = (rel_g[g_of[:, None, :, None], g_of[None, :, None, :]]
+           == rel_h[h_of[:, None, :, None], h_of[None, :, None, :]])
+    return Game(lam & opposite[:, None, :, None] & opposite[None, :, None, :])
 
 
 def flip_game(g: Game) -> Game:
@@ -253,12 +275,6 @@ def lift_output_index(x: int, a: int, k: int) -> int:
     return x * k + a
 
 
-def _perfect_rows(g: Game, fs: np.ndarray) -> np.ndarray:
-    """For each row f of ``fs``, whether lam[x, y, f[x], f[y]] holds for every x, y."""
-    x = np.arange(g.nA)
-    return g.lam[x[:, None], x, fs[:, :, None], fs[:, None, :]].all(axis=(1, 2))
-
-
 def is_perfect_deterministic(g: Game, f) -> bool:
     """Whether the shared response function ``f`` wins on every input pair;
     ShapeMismatch when a value of ``f`` lies outside 0..k-1."""
@@ -266,11 +282,13 @@ def is_perfect_deterministic(g: Game, f) -> bool:
     if g.nA != g.nB or g.kA != g.kB or len(f) != g.nA:
         return False
     check_response_values(f, g.kA)
-    return bool(_perfect_rows(g, np.array([f]))[0])
+    x, f = np.arange(g.nA), np.array(f, dtype=np.intp)
+    return bool(g.lam[x[:, None], x, f[:, None], f].all())
 
 
 def has_perfect_deterministic(g: Game) -> bool:
-    """Exhaustive search over response functions (guarded)."""
+    """Whether some shared response function wins on every input pair: the
+    search over response functions allowed by lam and its mirror (guarded)."""
     if g.nA != g.nB or g.kA != g.kB:
         return False
-    return bool(_perfect_rows(g, response_functions(g.nA, g.kA)).any())
+    return len(atoms_within("responses", g.nA, g.kA, g.lam & g.lam.transpose(1, 0, 3, 2))) > 0

@@ -345,6 +345,9 @@ def test_membership_boundary_slice_is_infeasible(n, s):
     d = dn.Density((1 - s) * uniform_permutation_density(n) + s * cyclic_density(n, n))
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.Infeasible)
+    # full support: the LP over every atom gives the functional, unlifted,
+    # so it is 0 on the zero pattern, where no permutation and no mass sit
+    assert not res.functional[games.forbidden_positions(n, n, bisync=True).reshape(-1)].any()
     on_polytope, at_d = dn.separation_margins(d, res)
     assert on_polytope <= 1e-9
     assert at_d == pytest.approx(res.violation, abs=1e-9)
@@ -463,7 +466,7 @@ def test_reduced_lp_matches_full_row_reference(kind, n, k, seed, s):
     d = _draw_density(kind, n, k, seed, s)
     family = "responses" if kind == "responses" else "permutations"
     kk = k if family == "responses" else n
-    atoms = dn._all_atoms(family, n, kk)
+    atoms = games.atoms_within(family, n, kk)
     # both sides at the tight tolerances: near the boundary the default
     # ones leave t* uncertain by ~1e-8
     idx = dn._atom_coordinates(atoms, kk)
@@ -517,7 +520,7 @@ def test_sparse_local_mixture_poses_only_candidate_atoms(monkeypatch):
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
-    atoms = dn._all_atoms("permutations", 7, 7)
+    atoms = games.atoms_within("permutations", 7, 7)
     dn._membership_lp(dn._atom_coordinates(atoms, 7), d.p)
     (cand_atoms, cand_vars), (all_atoms, all_vars) = calls
     assert all_atoms == math.factorial(7)
@@ -541,7 +544,7 @@ def test_nonlocal_with_candidate_atoms_gets_an_exact_certificate():
     n = 6
     mix = random_permutation_mixture(np.random.default_rng(7), n, 6)
     d = dn.Density(0.9 * mix.p + 0.1 * cyclic_density(n, n))
-    idx = dn._atom_coordinates(dn._all_atoms("permutations", n, n), n)
+    idx = dn._atom_coordinates(games.atoms_within("permutations", n, n), n)
     candidates = int((d.p.reshape(-1)[idx].min(axis=1) > dn.DEFAULT_TOL).sum())
     assert 0 < candidates < math.factorial(n)
     res = dn.local_bisync_membership(d)
@@ -590,15 +593,22 @@ def test_pattern_predicates_match_loop_references(rng):
 
 def test_response_atoms_are_the_guarded_product():
     for n, k in [(1, 1), (2, 3), (3, 2), (4, 3), (5, 2), (5, 4)]:
-        atoms = dn._all_atoms("responses", n, k)
+        atoms = games.atoms_within("responses", n, k)
         ref = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.intp)
         assert atoms.dtype == np.intp and np.array_equal(atoms, ref)
     with pytest.raises(TooLarge, match="exceed the guard of 3000"):
-        dn._all_atoms("responses", 6, 4)
+        games.atoms_within("responses", 6, 4)
 
 
 # ---------------------------------------------------------------------------
 # The compatible atoms by search, and the certificate lifted from them
+
+
+def compatible_atoms(family, p, tol):
+    """The search restricted to the atoms whose coordinates all carry more than tol."""
+    n, _, k, _ = p.shape
+    allowed = p > tol
+    return games.atoms_within(family, n, k, allowed & allowed.transpose(1, 0, 3, 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -623,9 +633,9 @@ def test_compatible_search_equals_the_filtered_listing(family, n, k, atoms, fill
     if fill == 1.0:
         p += 1e-8
     tol = dn.DEFAULT_TOL
-    listed = dn._all_atoms(family, n, k)
+    listed = games.atoms_within(family, n, k)
     expect = listed[p.reshape(-1)[dn._atom_coordinates(listed, k)].min(axis=1) > tol]
-    found = dn._compatible_atoms(family, p, tol)
+    found = compatible_atoms(family, p, tol)
     assert found.dtype == np.intp and found.shape == expect.shape
     assert np.array_equal(found, expect)
     if fill == 1.0:
@@ -637,7 +647,7 @@ def test_compatible_search_equals_the_filtered_listing(family, n, k, atoms, fill
 def test_permutation_atoms_are_itertools_order():
     for n in range(1, 8):
         ref = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        assert np.array_equal(dn._all_atoms("permutations", n, n), ref)
+        assert np.array_equal(games.atoms_within("permutations", n, n), ref)
 
 
 def sparse_nonlocal(rng, family, n, k, atoms):
@@ -676,7 +686,7 @@ def zero_set_mass(d):
 def test_no_compatible_atom_gives_the_zero_set_certificate():
     # z_n: no permutation keeps a - b = 1 (mod n) on both (x, y) and (y, x)
     z5 = dn.Density(cyclic_density(5, 5))
-    assert dn._compatible_atoms("permutations", z5.p, dn.DEFAULT_TOL).shape == (0, 5)
+    assert compatible_atoms("permutations", z5.p, dn.DEFAULT_TOL).shape == (0, 5)
     res = dn.local_bisync_membership(z5)
     assert isinstance(res, dn.Infeasible)
     assert np.array_equal(res.functional, -1.0 * (z5.p.reshape(-1) <= dn.DEFAULT_TOL))
@@ -704,7 +714,7 @@ def test_lifted_offset_beyond_the_guard_holds_on_every_atom():
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.Infeasible) and res.violation > dn.DEFAULT_TOL
     assert "atoms that avoid p <= tol" in res.witness
-    rest = dn._all_atoms("permutations", n - 1, n - 1)
+    rest = games.atoms_within("permutations", n - 1, n - 1)
     worst = -np.inf
     for first in range(n):
         others = np.delete(np.arange(n), first)
@@ -729,11 +739,13 @@ def test_separation_margins_is_guarded_without_listing():
 
 
 def test_sparse_mixture_at_n10_is_decided_on_its_compatible_atoms(monkeypatch):
-    def no_listing(*args):
-        raise AssertionError("all atoms listed")
+    def no_listing(family, n, k, allowed=None):
+        if allowed is None:
+            raise AssertionError("all atoms listed")
+        return games.atoms_within(family, n, k, allowed)
 
     d = random_permutation_mixture(np.random.default_rng(5), 10, 3)
-    monkeypatch.setattr(dn, "_all_atoms", no_listing)
+    monkeypatch.setattr(dn, "atoms_within", no_listing)
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL

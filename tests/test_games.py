@@ -187,7 +187,19 @@ def test_bisync_lift_of_perfect_strategy():
 
 def test_response_function_guard():
     with pytest.raises(TooLarge):
-        list(games.response_functions(12, 4))
+        list(games.atoms_within("responses", 12, 4))
+
+
+def test_perfect_deterministic_search_prunes_below_the_guard():
+    # 4^7 response functions exceed the guard, but the proper partial
+    # colourings of K_7 with 4 colours die out at the fifth vertex
+    k7_to_k4 = hom_game(complete_graph(7), complete_graph(4))
+    assert games.has_perfect_deterministic(k7_to_k4) is False
+    assert not loop_has_perfect_deterministic(k7_to_k4)
+    assert games.has_perfect_deterministic(hom_game(complete_graph(4), complete_graph(7)))
+    # the 7! injective colourings of K_7 by 7 colours outgrow it: 5040 at the sixth vertex
+    with pytest.raises(TooLarge, match="5040 partial response functions on 6 of 7 inputs"):
+        games.has_perfect_deterministic(hom_game(complete_graph(7), complete_graph(7)))
 
 
 # Loop references: the parent's definitions of the (bi)synchronous zero
@@ -217,6 +229,30 @@ def loop_hom_game(g, h):
                 lam[x, y] = np.eye(k, dtype=bool)
             elif g.adjacency[x, y]:
                 lam[x, y] = h.adjacency
+    return Game(lam)
+
+
+def loop_iso_game(g, h):
+    ng, nh = g.n, h.n
+    m = ng + nh
+
+    def relation(graph, u, v):
+        return 0 if u == v else 1 if graph.adjacency[u, v] else 2
+
+    def side(v):
+        return (0, v) if v < ng else (1, v - ng)
+
+    lam = np.zeros((m, m, m, m), dtype=bool)
+    for x, y, a, b in itertools.product(range(m), repeat=4):
+        sx, vx = side(x)
+        sy, vy = side(y)
+        sa, va = side(a)
+        sb, vb = side(b)
+        if sa == sx or sb == sy:
+            continue
+        g_alice, h_alice = (vx, va) if sx == 0 else (va, vx)
+        g_bob, h_bob = (vy, vb) if sy == 0 else (vb, vy)
+        lam[x, y, a, b] = relation(g, g_alice, g_bob) == relation(h, h_alice, h_bob)
     return Game(lam)
 
 
@@ -271,6 +307,14 @@ def test_hom_game_matches_loop_reference(rng):
         assert np.array_equal(hom_game(g, h).lam, loop_hom_game(g, h).lam)
 
 
+def test_iso_game_matches_loop_reference(rng):
+    sizes = [(1, 1), (1, 4), (4, 1), (2, 5), (5, 3)]
+    sizes += [tuple(int(v) for v in rng.integers(1, 6, size=2)) for _ in range(25)]
+    for ng, nh in sizes:
+        g, h = random_graph(rng, ng), random_graph(rng, nh)
+        assert np.array_equal(iso_game(g, h).lam, loop_iso_game(g, h).lam)
+
+
 def test_forbidden_positions_is_the_pattern():
     for n, k in [(1, 1), (2, 3), (3, 2), (4, 4)]:
         sync = games.forbidden_positions(n, k)
@@ -283,7 +327,7 @@ def test_forbidden_positions_is_the_pattern():
 
 def test_response_functions_are_the_lexicographic_product():
     for n, k in [(1, 1), (1, 4), (3, 2), (2, 3), (5, 3), (4, 4)]:
-        fs = games.response_functions(n, k)
+        fs = games.atoms_within("responses", n, k)
         assert fs.shape == (k ** n, n) and fs.dtype == np.intp
         assert fs.tolist() == [list(f) for f in itertools.product(range(k), repeat=n)]
 

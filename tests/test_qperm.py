@@ -161,6 +161,31 @@ def test_factorizable_apply_agrees_with_choi_map():
                 assert np.abs(diff).max() <= 1e-10
 
 
+def loop_factorizable_apply(sys, x):
+    """Reference: the trace of each d x d block, one block at a time."""
+    n, k = sys.n, sys.k
+    out = np.zeros((k, k), dtype=np.complex128)
+    for g, w, big in zip(sys.grids, sys.weights, qperm.big_matrices(sys)):
+        d = g.shape[2]
+        m = qperm.dagger(big) @ np.kron(x, np.eye(d)) @ big
+        for a in range(k):
+            for b in range(k):
+                out[a, b] += (w / d) * np.trace(m[a * d:(a + 1) * d, b * d:(b + 1) * d])
+    return out
+
+
+def test_factorizable_apply_matches_block_loop(rng):
+    systems = sample_systems(43, 8) + pauli_systems(44)
+    systems.append(qperm.block_pair(qperm.random_rank1_projection(rng, 2),
+                                    qperm.random_rank1_projection(rng, 2)))
+    for sys in systems:
+        n = sys.n
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for arg in (x, np.eye(n)):
+            diff = qperm.factorizable_apply(sys, arg) - loop_factorizable_apply(sys, arg)
+            assert np.abs(diff).max() <= 1e-15
+
+
 def test_intertwines_identity_and_relabeling(rng):
     c5 = games.cycle_graph(5)
     assert qperm.intertwines(qperm.from_permutation(range(5)), c5, c5)

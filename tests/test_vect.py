@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bisyncgames.report import Report
+
 from bisyncgames import densities as dn, qperm, vect
 from bisyncgames.errors import (
     NegativeEntry,
@@ -110,3 +112,66 @@ def test_gram_guards():
     g = np.full((1, 1, 1, 1), -1e-3, dtype=complex)
     with pytest.raises(NegativeEntry):
         vect._gram_to_density(g, 1e-9)
+
+
+def loop_verify_bisync_vect(v, tol=dn.DEFAULT_TOL):
+    """Reference: the vector-permutation checks, one pairing at a time."""
+    rep = Report("vect verify")
+    g = vect.gram_tensor(v)
+    n = v.n
+    worst, wit = 0.0, None
+    for x in range(n):
+        for a in range(n):
+            for b in range(a + 1, n):
+                val = abs(g[x, x, a, b])
+                if val > worst:
+                    worst, wit = val, f"<h[{x},{a}], h[{x},{b}]> = {g[x, x, a, b]:.3e}"
+    rep.add("row_orthogonality", worst <= tol, worst, wit)
+    worst, wit = 0.0, None
+    for a in range(n):
+        for x in range(n):
+            for y in range(x + 1, n):
+                val = abs(g[x, y, a, a])
+                if val > worst:
+                    worst, wit = val, f"<h[{x},{a}], h[{y},{a}]> = {g[x, y, a, a]:.3e}"
+    rep.add("column_orthogonality", worst <= tol, worst, wit)
+    row_sums = v.vectors.sum(axis=1)
+    col_sums = v.vectors.sum(axis=0)
+    h = row_sums[0]
+    worst, wit = 0.0, None
+    for x in range(n):
+        val = float(np.abs(row_sums[x] - h).max())
+        if val > worst:
+            worst, wit = val, f"row sum at x={x} deviates from the common vector"
+    for a in range(n):
+        val = float(np.abs(col_sums[a] - h).max())
+        if val > worst:
+            worst, wit = val, f"column sum at a={a} deviates from the common vector"
+    rep.add("sums_agree", worst <= tol, worst, wit)
+    unit_dev = abs(float(np.linalg.norm(h)) - 1.0)
+    rep.add("sum_is_unit_vector", unit_dev <= tol, unit_dev, f"|h| = {np.linalg.norm(h):.12g}")
+    return rep
+
+
+def test_verify_matches_loop_reference(rng):
+    strategies = [vect.vect_from_projective(s) for s in sample_systems(17, 8)]
+    strategies += [vect.permutation_strategy(rng.permutation(n)) for n in (1, 2, 5)]
+    exact = len(strategies)
+    for base in list(strategies):
+        # one entry moved: a single pairing and a single row and column sum break
+        v = base.vectors.copy()
+        x, a = rng.integers(base.n), rng.integers(base.k)
+        v[x, a, rng.integers(base.m)] += rng.choice([1e-12, 1e-6, 1e-2])
+        strategies.append(vect.VectorStrategy(v))
+    for n in (1, 2, 3, 5):
+        m = int(rng.integers(1, 6))
+        strategies.append(vect.VectorStrategy(rng.normal(size=(n, n, m))
+                                              + 1j * rng.normal(size=(n, n, m))))
+    # ties: every pairing of equal size, so the first one must be the witness
+    strategies.append(vect.VectorStrategy(np.ones((3, 3, 1))))
+    verdicts = []
+    for v in strategies:
+        rep = vect.verify_bisync_vect(v)
+        assert rep.to_dict() == loop_verify_bisync_vect(v).to_dict()
+        verdicts.append(rep.passed)
+    assert all(verdicts[:exact]) and not all(verdicts[exact:])
