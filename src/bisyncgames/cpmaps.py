@@ -22,7 +22,7 @@ from .errors import (
     NotUnitalChannel,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, dagger, norm_max
+from .linalg import DEFAULT_TOL, dagger, norm_max, within
 from .report import Report
 
 
@@ -126,10 +126,9 @@ _DEVIATIONS = {
 
 
 def _check(m: ChoiMap, name: str, tol: float) -> tuple:
-    """(passed, deviation); only the Hermiticity tolerance scales with the Choi matrix."""
+    """(passed, deviation), the tolerance scaled by the Choi matrix (linalg.within)."""
     dev = _DEVIATIONS[name](m)
-    scale = max(1.0, norm_max(m.choi)) if name == "hermiticity_preserving" else 1.0
-    return dev <= tol * scale, dev
+    return within(dev, tol, m.choi), dev
 
 
 def is_hermiticity_preserving(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
@@ -138,8 +137,8 @@ def is_hermiticity_preserving(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
 
 def is_cp(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
     """Complete positivity: the Choi matrix is positive semidefinite."""
-    return (linalg.is_hermitian(m.choi, tol)
-            and bool(_choi_eig(m).eigenvalues[0] >= -tol * max(1.0, norm_max(m.choi))))
+    return (_check(m, "hermiticity_preserving", tol)[0]
+            and within(-_choi_eig(m).eigenvalues[0], tol, m.choi))
 
 
 def is_tp(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:

@@ -29,7 +29,7 @@ from .games import (
     check_response_values,
     forbidden_positions,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, within
 from .report import Report
 
 # HiGHS feasibility tolerances for the one re-solve near the polytope's boundary
@@ -77,11 +77,11 @@ def validation_report(d: Density, tol: float = DEFAULT_TOL) -> Report:
     if neg > 0:
         x, y, a, b = np.unravel_index(int(d.p.argmin()), d.p.shape)
         witness = f"p(a={a},b={b}|x={x},y={y}) = {d.p[x, y, a, b]}"
-    rep.add("nonnegative", neg <= tol, max(neg, 0.0), witness)
+    rep.add("nonnegative", within(neg, tol, d.p), max(neg, 0.0), witness)
     sums = d.p.sum(axis=(2, 3))
     dev = np.abs(sums - 1.0)
     x, y = np.unravel_index(int(dev.argmax()), dev.shape)
-    rep.add("normalized", float(dev.max()) <= tol, float(dev.max()),
+    rep.add("normalized", within(dev.max(), tol, d.p), float(dev.max()),
             f"sum over outputs at (x={x},y={y}) = {sums[x, y]}")
     return rep
 
@@ -98,7 +98,7 @@ def is_nonsignalling(d: Density, tol: float = DEFAULT_TOL) -> bool:
     dev_a = np.abs(marg_a - marg_a[:, :1, :]).max()
     marg_b = d.p.sum(axis=2)          # [x, y, b]
     dev_b = np.abs(marg_b - marg_b[:1, :, :]).max()
-    return bool(max(dev_a, dev_b) <= tol)
+    return within(max(dev_a, dev_b), tol, d.p)
 
 
 def _require_square(d: Density):
@@ -123,21 +123,20 @@ def is_bisynchronous_density(d: Density, tol: float = DEFAULT_TOL) -> bool:
 def _synchronous(d: Density, tol: float) -> bool:
     """is_synchronous_density for a density already validated."""
     _require_square(d)
-    return float(d.p[forbidden_positions(d.nA, d.kA)].max(initial=0.0)) <= tol
+    return within(d.p[forbidden_positions(d.nA, d.kA)].max(initial=0.0), tol, d.p)
 
 
 def _bisynchronous(d: Density, tol: float) -> bool:
     """is_bisynchronous_density for a density already validated."""
     _require_square(d)
-    return float(d.p[forbidden_positions(d.nA, d.kA, bisync=True)].max(initial=0.0)) <= tol
+    return within(d.p[forbidden_positions(d.nA, d.kA, bisync=True)].max(initial=0.0), tol, d.p)
 
 
 def is_perfect_for(g: Game, d: Density, tol: float = DEFAULT_TOL) -> bool:
     """No probability mass on losing tuples."""
     if (g.nA, g.nB, g.kA, g.kB) != (d.nA, d.nB, d.kA, d.kB):
         raise ShapeMismatch("game and density shapes disagree")
-    forbidden = d.p[~g.lam]
-    return bool(forbidden.size == 0 or forbidden.max() <= tol)
+    return within(d.p[~g.lam].max(initial=0.0), tol, d.p)
 
 
 def flip_density(d: Density) -> Density:

@@ -29,13 +29,24 @@ def as_cmatrix(a) -> np.ndarray:
 
 
 def dagger(a) -> np.ndarray:
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of the last two axes (of each matrix in a stack)."""
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def norm_max(a) -> float:
     """Largest entry magnitude; zero for empty input."""
     a = np.asarray(a)
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def within(dev, tol: float, *inputs) -> bool:
+    """The library's tolerance rule: ``dev <= tol * max(1, max-norm of the inputs)``.
+
+    ``dev`` is a measured deviation of the inputs from a property; every
+    check of the caller's input against the caller's ``tol`` goes through here.
+    The max-norms are taken only when ``dev`` exceeds ``tol`` itself.
+    """
+    return bool(dev <= tol or dev <= tol * max([1.0] + [norm_max(a) for a in inputs]))
 
 
 def vec(a) -> np.ndarray:
@@ -52,7 +63,7 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return norm_max(a - dagger(a)) <= tol
+    return within(norm_max(a - dagger(a)), tol, a)
 
 
 @dataclass(frozen=True)
@@ -93,18 +104,17 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
 
 
 def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix ``a`` has min eigenvalue >= -tol * max(1, |a|_max)."""
+    """True iff the Hermitian matrix ``a`` has least eigenvalue >= -tol (scaled, see within)."""
     a = as_cmatrix(a)
-    w = hermitian_eig(a, tol).eigenvalues
-    return bool(w[0] >= -tol * max(1.0, norm_max(a)))
+    return within(-hermitian_eig(a, tol).eigenvalues[0], tol, a)
 
 
 def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``a`` is self-adjoint and idempotent within ``tol`` (entrywise)."""
+    """True iff ``a`` is self-adjoint and idempotent within ``tol`` (entrywise, scaled)."""
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return norm_max(a - dagger(a)) <= tol and norm_max(a @ a - a) <= tol
+    return within(norm_max(a - dagger(a)), tol, a) and within(norm_max(a @ a - a), tol, a)
 
 
 def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:

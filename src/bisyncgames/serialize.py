@@ -27,15 +27,18 @@ from .qperm import ProjectiveSystem
 from .vect import VectorStrategy
 
 
-def _c2pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _dump_complex(a) -> list:
+    """Nested lists of [re, im] pairs, one per entry of the complex array ``a``."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _pair2c(p) -> complex:
-    if not isinstance(p, (list, tuple)) or len(p) != 2:
-        raise BadInput(f"expected [re, im], got {p!r}")
-    return complex(float(p[0]), float(p[1]))
+def _load_complex(obj) -> np.ndarray:
+    """Inverse of _dump_complex, exact to the bit (a -0.0 keeps its sign)."""
+    arr = np.asarray(obj)
+    if arr.dtype.kind not in "biuf" or arr.ndim == 0 or arr.shape[-1] != 2:
+        raise BadInput(f"expected nested [re, im] pairs of numbers, got shape {arr.shape}")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _index_tuples(items, shape, what) -> list:
@@ -98,15 +101,13 @@ def density_from_dict(d: dict) -> Density:
 
 
 def vect_to_dict(v: VectorStrategy) -> dict:
-    h = [[[_c2pair(z) for z in v.vectors[x, a]] for a in range(v.k)]
-         for x in range(v.n)]
-    return {"n": v.n, "m": v.m, "h": h}
+    return {"n": v.n, "m": v.m, "h": _dump_complex(v.vectors)}
 
 
 def vect_from_dict(d: dict) -> VectorStrategy:
     try:
         n, m = int(d["n"]), int(d["m"])
-        arr = np.array([[[_pair2c(z) for z in vec] for vec in row] for row in d["h"]])
+        arr = _load_complex(d["h"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad vect JSON: {exc}")
     if arr.ndim != 3 or (arr.shape[0], arr.shape[2]) != (n, m):
@@ -115,12 +116,8 @@ def vect_from_dict(d: dict) -> VectorStrategy:
 
 
 def system_to_dict(s: ProjectiveSystem) -> dict:
-    blocks = []
-    for g, w in zip(s.grids, s.weights):
-        d = g.shape[2]
-        e = [[[[_c2pair(g[x, a, i, j]) for j in range(d)] for i in range(d)]
-              for a in range(s.k)] for x in range(s.n)]
-        blocks.append({"d": d, "weight": w, "E": e})
+    blocks = [{"d": g.shape[2], "weight": w, "E": _dump_complex(g)}
+              for g, w in zip(s.grids, s.weights)]
     return {"n": s.n, "k": s.k, "blocks": blocks}
 
 
@@ -131,10 +128,7 @@ def system_from_dict(d: dict) -> ProjectiveSystem:
         for blk in d["blocks"]:
             dim = int(blk["d"])
             weights.append(float(blk["weight"]))
-            e = blk["E"]
-            arr = np.array(
-                [[[[_pair2c(z) for z in row] for row in mat] for mat in outrow]
-                 for outrow in e])
+            arr = _load_complex(blk["E"])
             if arr.shape != (n, k, dim, dim):
                 raise BadInput(f"block shape {arr.shape} != {(n, k, dim, dim)}")
             grids.append(arr)
@@ -144,17 +138,16 @@ def system_from_dict(d: dict) -> ProjectiveSystem:
 
 
 def choi_to_dict(m: ChoiMap) -> dict:
-    flat = [_c2pair(z) for z in m.choi.reshape(-1)]
-    return {"n": m.n, "k": m.k, "choi": flat}
+    return {"n": m.n, "k": m.k, "choi": _dump_complex(m.choi.reshape(-1))}
 
 
 def choi_from_dict(d: dict) -> ChoiMap:
     try:
         n, k = int(d["n"]), int(d["k"])
-        flat = np.array([_pair2c(z) for z in d["choi"]])
+        flat = _load_complex(d["choi"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad choi JSON: {exc}")
-    if flat.size != (n * k) ** 2:
+    if flat.shape != ((n * k) ** 2,):
         raise BadInput("choi entry count does not match n, k")
     return ChoiMap(n, k, flat.reshape(n * k, n * k))
 
@@ -183,20 +176,17 @@ def mixture_from_dict(d: dict) -> PermutationMixture:
 
 def matrix_to_dict(a) -> dict:
     a = np.asarray(a, dtype=np.complex128)
-    return {
-        "rows": a.shape[0], "cols": a.shape[1],
-        "entries": [[_c2pair(z) for z in row] for row in a],
-    }
+    return {"rows": a.shape[0], "cols": a.shape[1], "entries": _dump_complex(a)}
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
     try:
         rows, cols = int(d["rows"]), int(d["cols"])
-        arr = np.array([[_pair2c(z) for z in row] for row in d["entries"]])
+        if rows < 1 or cols < 1:
+            raise BadInput("a matrix needs at least one row and one column")
+        arr = _load_complex(d["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad matrix JSON: {exc}")
-    if rows < 1 or cols < 1:
-        raise BadInput("a matrix needs at least one row and one column")
     if arr.shape != (rows, cols):
         raise BadInput("matrix shape disagrees with rows/cols")
     return arr

@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .games import as_permutation
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, within
 from .qperm import ProjectiveSystem, ensure_verified
 from .report import Report
 
@@ -81,15 +81,18 @@ def verify_bisync_vect(v: VectorStrategy, tol: float = DEFAULT_TOL) -> Report:
     g = gram_tensor(v)
     n = v.n
 
+    def ok(dev):
+        return within(dev, tol, v.vectors)
+
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     # |<h[x, a], h[x, b]>| over (x, a, b) with a < b, in that order
     worst, (x, a, b) = _first_max(np.where(upper, _modulus(g[np.arange(n), np.arange(n)]), 0.0))
-    rep.add("row_orthogonality", worst <= tol, worst,
+    rep.add("row_orthogonality", ok(worst), worst,
             f"<h[{x},{a}], h[{x},{b}]> = {g[x, x, a, b]:.3e}" if worst else None)
 
     # |<h[x, a], h[y, a]>| over (a, x, y) with x < y, in that order
     worst, (a, x, y) = _first_max(np.where(upper, _modulus(np.einsum("xyaa->axy", g)), 0.0))
-    rep.add("column_orthogonality", worst <= tol, worst,
+    rep.add("column_orthogonality", ok(worst), worst,
             f"<h[{x},{a}], h[{y},{a}]> = {g[x, y, a, a]:.3e}" if worst else None)
 
     row_sums = v.vectors.sum(axis=1)  # [x, m]
@@ -99,21 +102,21 @@ def verify_bisync_vect(v: VectorStrategy, tol: float = DEFAULT_TOL) -> Report:
     worst, (i,) = _first_max(np.abs(np.concatenate([row_sums, col_sums]) - h).max(axis=1))
     wit = (f"row sum at x={i} deviates from the common vector" if i < n
            else f"column sum at a={i - n} deviates from the common vector")
-    rep.add("sums_agree", worst <= tol, worst, wit if worst else None)
+    rep.add("sums_agree", ok(worst), worst, wit if worst else None)
 
     unit_dev = abs(float(np.linalg.norm(h)) - 1.0)
-    rep.add("sum_is_unit_vector", unit_dev <= tol, unit_dev,
+    rep.add("sum_is_unit_vector", ok(unit_dev), unit_dev,
             f"|h| = {np.linalg.norm(h):.12g}")
     return rep
 
 
 def _gram_to_density(g: np.ndarray, tol: float) -> Density:
     imag = float(np.abs(g.imag).max())
-    if imag > tol:
+    if not within(imag, tol, g):
         idx = np.unravel_index(int(np.abs(g.imag).argmax()), g.shape)
         raise NonRealGram(f"imaginary part {imag:.3e} at {idx}")
     real = g.real
-    if real.min() < -tol:
+    if not within(-real.min(), tol, g):
         idx = np.unravel_index(int(real.argmin()), g.shape)
         raise NegativeEntry(f"entry {real[idx]:.3e} at {idx}")
     return Density(real)

@@ -325,6 +325,12 @@ _MALFORMED = {
     "vect grid smaller than its header":
         ["vect", "verify", "--in",
          dict(serialize.vect_to_dict(vect.permutation_strategy([1, 0])), n=3)],
+    "vect pairs with three numbers":
+        ["vect", "verify", "--in", {"n": 2, "m": 1, "h": [[[[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]],
+                                                        [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]]]}],
+    "system entry that is a bare number":
+        ["qperm", "verify", "--in",
+         {"n": 1, "k": 1, "blocks": [{"d": 1, "weight": 1.0, "E": [[[[1.0]]]]}]}],
     "mixture shorter than its header":
         ["map", "mixperm", "--in", {"n": 3, "weights": [1.0], "permutations": [[1, 0]]}],
     "matrix without columns":

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisyncgames import cpmaps, densities as dn, linalg, qperm
 from bisyncgames.errors import (
@@ -405,3 +407,59 @@ def test_schur_closed_matches_pairwise_loop(rng):
         span = linalg.orthonormal_span(mats)
         assert cpmaps._schur_closed(mats, span, 1e-9) == (name in closed), name
         assert cpmaps.is_schur_closed(mats) == (name in closed), name
+
+
+def _choi_with_margins(seed, n, k, psd, hermitian, size, tol):
+    """A Choi matrix of max-norm ``size`` whose Hermiticity deviation is tol * size / 4
+    (hermitian) or 4 tol * size, and whose least eigenvalue is +-size / 10 or so."""
+    rng = np.random.default_rng(seed)
+    dim = n * k
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = x @ x.conj().T
+    w = np.linalg.eigvalsh(h)
+    h += (0.1 * w[-1] if psd else -w[0] - 0.1 * w[-1]) * np.eye(dim)
+    h *= size / np.abs(h).max()
+    y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    skew = y - y.conj().T
+    skew /= np.abs(2 * skew).max()     # C - C* = 2 e skew has max-norm e
+    return h + (0.25 if hermitian else 4.0) * tol * size * skew
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(1, 3),
+       psd=st.booleans(), hermitian=st.booleans(), size=st.floats(1.0, 1e3),
+       c=st.floats(1.0, 1e6), tol=st.sampled_from([1e-9, 1e-6]))
+def test_hermiticity_and_cp_verdicts_are_scale_invariant(seed, n, k, psd, hermitian, size, c, tol):
+    choi = _choi_with_margins(seed, n, k, psd, hermitian, size, tol)
+    for m in (cpmaps.ChoiMap(n, k, choi), cpmaps.ChoiMap(n, k, c * choi)):
+        assert cpmaps.is_hermiticity_preserving(m, tol) == hermitian
+        assert cpmaps.is_cp(m, tol) == (hermitian and psd)
+
+
+def _tensor_with_deviation(seed, n, k, size, dev, prop):
+    """p[x, y, a, b] of max-norm ``size`` whose trace-preservation ("tp") or
+    unitality ("unital") deviation is ``dev``, all of it at one off-diagonal entry."""
+    p = size * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n, k, k))
+    if prop == "tp":       # tr Phi(E_xy) reads only the entries with a = b
+        target = np.eye(n)
+        target[0, 1] = dev
+        p[0, 0, 0, 1] = size
+        p[:, :, np.arange(k), np.arange(k)] = (target / k)[:, :, None]
+    else:                  # Phi(1) reads only the entries with x = y
+        target = np.eye(k)
+        target[0, 1] = dev
+        p[0, 1, 0, 0] = size
+        p[np.arange(n), np.arange(n)] = target / n
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), k=st.integers(2, 3),
+       size=st.floats(1.0, 1e6), prop=st.sampled_from(["tp", "unital"]),
+       tol=st.sampled_from([1e-9, 1e-6]))
+def test_tp_and_unital_tolerances_scale_with_the_choi_matrix(seed, n, k, size, prop, tol):
+    check = cpmaps.is_tp if prop == "tp" else cpmaps.is_unital
+    for delta, passes in ((tol / 2, True), (2 * tol, False)):
+        m = cpmaps.choi_from_tensor(_tensor_with_deviation(seed, n, k, size, delta * size, prop))
+        assert linalg.norm_max(m.choi) == size
+        assert check(m, tol) == passes

@@ -258,13 +258,6 @@ def test_fix_equivalence_on_random_systems():
         assert fe.report.passed, fe.report.failed_names()
 
 
-def test_fix_equivalence_rejects_wrong_density(rng):
-    sys = qperm.from_permutation([1, 0])
-    from bisyncgames.errors import PreconditionFailed
-    with pytest.raises(PreconditionFailed):
-        qperm.fix_equivalence_check(sys, dn.uniform_density(2, 2))
-
-
 def test_conjugation_gives_identical_commutation_subspace(rng):
     sys = qperm.block_pair(qperm.random_rank1_projection(rng, 2),
                            qperm.random_rank1_projection(rng, 2))
