@@ -316,11 +316,13 @@ class Infeasible:
     ``functional`` (flat, one entry per density coordinate) and ``offset``
     define f(q) = <functional, q> + offset with f <= 0 on every vertex of
     the polytope while f(density) = ``violation`` > tol.  The violation is
-    a separating value, not a distance: it equals the LP's sup-norm
-    distance t* only when the LP over every atom produced the functional.
-    A functional lifted from the support-compatible atoms has -M on the
-    zero set Z of the density, and its violation is at least t* - M p(Z)
-    for the LP on those atoms (README, "Local membership").  ``witness``
+    a separating value, not a distance: from the LP over every atom it is
+    that LP's optimum, the sup-norm distance t* when all rows were posed
+    and at most t* when only the spanning rows were, as on the full-support
+    inputs they settle.  A functional lifted from the support-compatible
+    atoms has -M on the zero set Z of the density, and its violation is at
+    least t* - M p(Z) for the LP on those atoms (README, "Local
+    membership").  ``witness``
     names the density coordinate with the largest residual at the closest
     mixture, or the size of the zero set when every atom meets it;
     ``atoms`` records which vertex family the polytope has
@@ -334,7 +336,7 @@ class Infeasible:
     atoms: str = "permutations"
 
 
-def _membership_lp(idx, p, options=None):
+def _membership_lp(idx, p, options=None, rows=None):
     """Minimize the sup-norm slack t over {lam >= 0 : |A lam - p| <= t, sum lam = 1}.
 
     Column j of A is the flattened density of atom j, whose ones sit at
@@ -344,7 +346,9 @@ def _membership_lp(idx, p, options=None):
     lower bound of t.  The coordinates (x, y, a, b) and (y, x, b, a) are
     one and the same row of A, so each such pair is posed once, between
     the smaller and the larger of its two entries of p.  The optimum is
-    that of the LP over all coordinates.
+    that of the LP over all coordinates.  ``rows``, sorted x <= y
+    coordinates such as :func:`_spanning_rows`, poses only those rows:
+    a relaxation, whose optimum is at most that of the full LP.
 
     HiGHS is handed the dual: alpha, beta >= 0 on the two sides of each
     row, gamma >= 0 on the floor of t and a free mu, maximizing
@@ -361,30 +365,31 @@ def _membership_lp(idx, p, options=None):
     import scipy.optimize
     import scipy.sparse
 
-    n = p.shape[0]
     flat = p.reshape(-1)
     mirror = np.arange(flat.size).reshape(p.shape).transpose(1, 0, 3, 2).reshape(-1)
-    # An atom hits (x, y, a, b) iff it hits the mirror (y, x, b, a), so
-    # its x <= y coordinates meet every row it hits exactly once.
-    upper = idx[:, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))]
+    upper = _upper_coordinates(idx)
     hit = np.zeros(flat.size, dtype=bool)
     hit[upper] = True
-    rows = np.flatnonzero(hit)
+    if rows is None:
+        rows = np.flatnonzero(hit)
+    hit[mirror[hit]] = True
     mates = mirror[rows]
     swap = flat[mates] < flat[rows]
     lo, hi = np.where(swap, mates, rows), np.where(swap, rows, mates)
-    hit[mates] = True
     missed = np.flatnonzero(~hit)
     worst = missed[np.abs(flat[missed]).argmax()] if missed.size else None
     t_floor = 0.0 if worst is None else abs(float(flat[worst]))
 
     # Variables (alpha, beta, gamma, mu).  Atom j's constraint row has
-    # -1 at the alpha and +1 at the beta of each row it hits, and +1 at mu.
+    # -1 at the alpha and +1 at the beta of each posed row it hits, and
+    # +1 at mu.
     ncols, nrows, per_col = idx.shape[0], rows.size, upper.shape[1]
     r = np.searchsorted(rows, upper)
-    indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)]).ravel()
-    data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), ncols)
-    indptr = np.arange(ncols + 1) * (2 * per_col + 1)
+    posed = rows[np.minimum(r, nrows - 1)] == upper
+    posed = np.hstack([posed, posed, np.ones((ncols, 1), dtype=bool)])
+    indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)])[posed]
+    data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), (ncols, 1))[posed]
+    indptr = np.append(0, np.cumsum(posed.sum(axis=1)))
     a_ub = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ncols, 2 * nrows + 2))
     a_eq = np.append(np.ones(2 * nrows + 1), 0.0)[None, :]
     c = np.concatenate([flat[lo], -flat[hi], [-t_floor, -1.0]])   # linprog minimizes
@@ -406,6 +411,41 @@ def _membership_lp(idx, p, options=None):
     # return some 1e-11 below zero
     lam = np.maximum(-res.ineqlin.marginals, 0.0)
     return -float(res.fun), lam, y, float(mu)
+
+
+def _upper_coordinates(idx):
+    """The x <= y columns of ``idx`` (see :func:`_atom_coordinates`).
+
+    An atom hits (x, y, a, b) iff it hits the mirror (y, x, b, a), so
+    these meet every row of the membership LP it hits exactly once.
+    """
+    n = math.isqrt(idx.shape[1])
+    return idx[:, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))]
+
+
+@functools.cache
+def _spanning_rows(family, n, k):
+    """Sorted x <= y coordinates whose rows of A span every row over every atom.
+
+    B is the 0/1 incidence of the rows (x <= y representatives) and the
+    atoms.  Pivoted Cholesky of the Gram matrix B B^T picks rank(B)
+    linearly independent rows of B, which span all of them; each atom
+    hits one coordinate per input pair, so the all-ones row lies in their
+    span too.  The set depends only on (family, n, k), and is found once.
+    """
+    import scipy.linalg.lapack
+    import scipy.sparse
+
+    upper = _upper_coordinates(_atom_coordinates(atoms_within(family, n, k), k))
+    rows, inverse = np.unique(upper, return_inverse=True)
+    m, per_atom = upper.shape
+    b = scipy.sparse.csr_matrix(
+        (np.ones(upper.size), (inverse.ravel(), np.repeat(np.arange(m), per_atom))),
+        shape=(rows.size, m))
+    _, piv, rank, _ = scipy.linalg.lapack.dpstrf((b @ b.T).toarray())
+    spanning = np.sort(rows[piv[:rank] - 1])
+    spanning.setflags(write=False)
+    return spanning
 
 
 def _polish_mixture(idx, p, lam, support_cut=1e-12):
@@ -443,13 +483,16 @@ def _decide_membership(family, d, tol, wrap):
     coordinates all carry more than ``tol`` of ``p``, found by search;
     then, when C is not every atom, every atom (the search raises the
     guard's error beyond the family's guard).  An atom of weight w in a
-    mixture within ``tol`` of ``p`` has p >= w - tol on each of its
-    coordinates, so every atom carrying more than 2 tol lies in C.  Each
-    set's LP is solved with HiGHS's default tolerances and, when that
-    leaves the density unsettled (a mixture that misses, or a certificate
-    that does not separate by more than ``tol``), once more with tight
-    ones (the density then sits within solver precision of the polytope's
-    boundary).  With t* <= tol the polished mixture is checked.
+    mixture within ``tol`` of ``p`` has p >= w - ``tol`` on each of its
+    coordinates, so every atom carrying more than 2 tol lies in C.  C is
+    solved with HiGHS's default tolerances and, only when that leaves a
+    mixture that misses, once more with tight ones (the density then sits
+    within solver precision of the polytope's boundary); a certificate on
+    C that falls short with t* > ``tol`` falls short by its lift, which a
+    re-solve keeps.  Every atom is solved first on the spanning rows
+    (:func:`_spanning_rows`) with tight tolerances, then, when that
+    settles nothing, on all rows with the default and the tight ones.
+    With t* <= ``tol`` the polished mixture is checked.
 
     The LP's functional (y, mu), <= 0 on the set posed, is then lifted to
     every atom.  On a proper subset: with Z the coordinates where
@@ -458,9 +501,10 @@ def _decide_membership(family, d, tol, wrap):
     least 1 off it, so y - M 1_Z with offset mu is <= 0 on every atom.
     With C empty there is no LP: t* is infinite, and y = 0, mu = 1 gives
     the functional -1_Z with offset 1.  On every atom the functional is y
-    itself.  Within the family's guard the offset is reset to minus the
-    functional's maximum over every atom, in the float sums of
-    :func:`separation_margins`; beyond it, it is the bound above."""
+    itself, also when only the spanning rows were posed.  Within the
+    family's guard the offset is reset to minus the functional's maximum
+    over every atom, in the float sums of :func:`separation_margins`;
+    beyond it, it is the bound above."""
     n, k = d.nA, d.kA
     flat = d.p.reshape(-1)
     zero = flat <= tol
@@ -471,11 +515,6 @@ def _decide_membership(family, d, tol, wrap):
     # every atom, listed at most once and only when a sweep or an LP needs it
     every = functools.cache(
         lambda: compatible if len(compatible) == total else atoms_within(family, n, k))
-
-    def atom_sets():
-        yield compatible
-        if len(compatible) < total:
-            yield every()
 
     def certificate(atoms, lam, y, mu):
         """The functional (y, mu), <= 0 on ``atoms``, as a certificate over every atom."""
@@ -494,25 +533,38 @@ def _decide_membership(family, d, tol, wrap):
             witness = _residual_witness(atoms, lam, d.p, k, which)
         return Infeasible(float(functional @ flat) + offset, functional, offset, witness, family)
 
-    for atoms in atom_sets():
+    def settle(atoms, options=None, rows=None):
+        """One LP on ``atoms`` and both checks: (verdict or None, t*, the shortfall)."""
         idx = _atom_coordinates(atoms, k)
-        # an empty set has no LP to solve, nor to solve again
-        for options in (None, _TIGHT_LP) if len(atoms) else (None,):
-            if len(atoms):
-                t_star, lam, y, mu = _membership_lp(idx, d.p, options)
-            else:
-                t_star, lam, y, mu = np.inf, None, np.zeros(flat.size), 1.0
-            if t_star <= tol:
-                support, weights = _polish_mixture(idx, d.p, lam)
-                kept = atoms[support]
-                err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
-                if err <= tol:
-                    return wrap(weights, tuple(map(tuple, kept.tolist())))
-            cert = certificate(atoms, lam, y, mu)
-            if cert.violation > tol:
-                return cert
-    gap = (f"the closest mixture found is {err:.3e} away" if t_star <= tol
-           else f"its certificate separates by only {cert.violation:.3e}")
+        if len(atoms):
+            t_star, lam, y, mu = _membership_lp(idx, d.p, options, rows)
+        else:
+            t_star, lam, y, mu = np.inf, None, np.zeros(flat.size), 1.0
+        gap = None
+        if t_star <= tol:
+            support, weights = _polish_mixture(idx, d.p, lam)
+            kept = atoms[support]
+            err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
+            if err <= tol:
+                return wrap(weights, tuple(map(tuple, kept.tolist()))), t_star, None
+            gap = f"the closest mixture found is {err:.3e} away"
+        cert = certificate(atoms, lam, y, mu)
+        if cert.violation > tol:
+            return cert, t_star, None
+        return None, t_star, gap or f"its certificate separates by only {cert.violation:.3e}"
+
+    if len(compatible) < total:
+        verdict, t_star, gap = settle(compatible)
+        if verdict is None and t_star <= tol:
+            verdict, t_star, gap = settle(compatible, _TIGHT_LP)
+        if verdict is not None:
+            return verdict
+    atoms = every()
+    for options, rows in ((_TIGHT_LP, _spanning_rows(family, n, k)),
+                          (None, None), (_TIGHT_LP, None)):
+        verdict, t_star, gap = settle(atoms, options, rows)
+        if verdict is not None:
+            return verdict
     raise SolverFailed(f"the LP puts the density t* = {t_star:.3e} from the local "
                        f"polytope, but {gap} (tol {tol:g})")
 
@@ -527,10 +579,12 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     The permutations compatible with the support (every coordinate above
     ``tol``) are found by search and decided first.  A nonlocal verdict on
     a density without full support lifts the LP's functional on them to
-    every permutation, so its ``violation`` is a separating value, not the
-    distance t* of the LP over all n! permutations, which decides the
-    rest (README, "Local membership").  n is bounded only through the
-    guard: PreconditionFailed is raised when the search or an LP would
+    every permutation.  The LP over all n! permutations, which decides the
+    rest, is posed first on a spanning set of its rows and on all of them
+    only when that settles nothing.  Either way ``violation`` is a
+    separating value, not the distance t* of the LP over all permutations
+    and all rows (README, "Local membership").  n is bounded only through
+    the guard: PreconditionFailed is raised when the search or an LP would
     hold more than 8! permutations.
     """
     if not validate(d, tol):

@@ -129,7 +129,15 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
         return np.eye(m.shape[1], dtype=np.complex128)
     if m.shape[0] > m.shape[1]:
         m = np.linalg.qr(m, mode="r")
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    full = m.shape[0] < m.shape[1]
+    try:
+        _, s, vh = np.linalg.svd(m, full_matrices=full)
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer driver (gesdd) fails to converge on
+        # rare inputs that its QR-iteration driver (gesvd) takes
+        import scipy.linalg
+
+        _, s, vh = scipy.linalg.svd(m, full_matrices=full, lapack_driver="gesvd")
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj()

@@ -319,8 +319,11 @@ def fixed_pattern_basis(sys: QuantumPermutation,
     ensure_verified(sys, tol)
     norms = np.zeros((n, n, n, n))
     for g in sys.grids:
-        prod = np.einsum("ikab,jlbc->ijklac", g, g)
-        norms = np.maximum(norms, np.abs(prod).max(axis=(4, 5)))
+        # every product E[i, k] E[j, l] in one GEMM, rows (i, k, a), columns (j, l, c)
+        d = g.shape[2]
+        prod = g.reshape(n * n * d, d) @ g.transpose(2, 0, 1, 3).reshape(d, n * n * d)
+        norms = np.maximum(norms, np.abs(prod).reshape(n, n, d, n, n, d)
+                           .max(axis=(2, 5)).transpose(0, 2, 1, 3))
     sym = np.maximum(norms, norms.transpose(1, 0, 3, 2))
 
     near = np.argwhere((sym > tol / 10) & (sym < tol * 10))[:20]

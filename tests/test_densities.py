@@ -339,12 +339,16 @@ def cyclic_functional(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("s", [1e-7, 2e-7, 1e-6])
-def test_membership_boundary_slice_is_infeasible(n, s):
+def test_membership_boundary_slice_is_infeasible(monkeypatch, n, s):
     # d_s = (1 - s) U_n + s z_n is nonlocal for every s > 0; at s = 1e-7 the
     # default HiGHS tolerances alone once let a mixture 1.7e-8 away through
     d = dn.Density((1 - s) * uniform_permutation_density(n) + s * cyclic_density(n, n))
+    calls = spy_linprog(monkeypatch)
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.Infeasible)
+    # the spanning rows are solved at the tight tolerances from the start,
+    # so no second LP is needed this close to the boundary
+    assert len(calls) == 1
     # full support: the LP over every atom gives the functional, unlifted,
     # so it is 0 on the zero pattern, where no permutation and no mass sit
     assert not res.functional[games.forbidden_positions(n, n, bisync=True).reshape(-1)].any()
@@ -768,3 +772,107 @@ def test_response_mixture_shares_the_range_message():
     with pytest.raises(ShapeMismatch) as density_error:
         dn.from_response_function((0, 5), 2)
     assert str(mixture_error.value) == str(density_error.value)
+
+
+# ---------------------------------------------------------------------------
+# Every atom: the spanning rows first, all rows only when they settle nothing
+
+
+def upper_incidence(family, n, k):
+    """Reference: the 0/1 matrix of the x <= y coordinates against every
+    atom, by loops, restricted to the coordinates some atom hits.  Returns
+    (coordinates, matrix)."""
+    atoms = games.atoms_within(family, n, k)
+    coords, cols = np.array([(((x * n + y) * k + f[x]) * k + f[y], j)
+                             for j, f in enumerate(atoms)
+                             for x in range(n) for y in range(x, n)]).T
+    hit = np.unique(coords)
+    m = np.zeros((hit.size, len(atoms)))
+    m[np.searchsorted(hit, coords), cols] = 1.0
+    return hit, m
+
+
+def rank(m):
+    # integer Gram matrices, so their rank is that of m, read off an SVD
+    return np.linalg.matrix_rank(m @ m.T)
+
+
+RESPONSE_SIZES = [(n, k) for k in range(1, 5) for n in range(1, 12)
+                  if k ** n <= games.ATOM_GUARD["responses"]]
+
+
+@pytest.mark.parametrize("family, n, k",
+                         [("permutations", n, n) for n in range(2, 8)]
+                         + [("responses", n, k) for n, k in RESPONSE_SIZES])
+def test_spanning_rows_span_every_posed_row(family, n, k):
+    rows = dn._spanning_rows(family, n, k)
+    coords, b = upper_incidence(family, n, k)
+    assert np.array_equal(rows, np.unique(rows)) and np.isin(rows, coords).all()
+    spanning = b[np.searchsorted(coords, rows)]
+    ones = np.ones((1, b.shape[1]))
+    # independent, and with the all-ones row they span what all rows span
+    assert rank(spanning) == len(rows)
+    assert rank(np.vstack([spanning, ones])) == rank(np.vstack([b, ones])) == len(rows)
+    if family == "permutations" and n >= 4:
+        assert len(rows) < len(coords)
+
+
+def uniform_atom_density(family, n, k):
+    atoms = games.atoms_within(family, n, k)
+    return sum(loop_density(f, k) for f in atoms) / len(atoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["permutations", "responses"]),
+       base=st.sampled_from(["uniform", "mixture"]),
+       n=st.integers(3, 6), k=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       s=st.sampled_from([0.0, 1e-7, 2e-7, 1e-6, 1e-3, 0.05, 0.3, 0.6]))
+def test_full_support_verdicts_match_the_full_row_lp(family, base, n, k, seed, s):
+    # U_n (or the uniform response density), or 0.8 of a random mixture plus
+    # 0.2 of it, moved toward z by s: every atom is compatible
+    if family == "permutations":
+        k = n
+    else:
+        n -= 1
+    p = uniform_atom_density(family, n, k)
+    if base == "mixture":
+        rng = np.random.default_rng(seed)
+        atoms = (np.array([rng.permutation(n) for _ in range(3)]) if family == "permutations"
+                 else rng.integers(k, size=(3, n)))
+        w = rng.dirichlet(np.ones(3))
+        p = 0.8 * sum(wj * loop_density(f, k) for wj, f in zip(w, atoms)) + 0.2 * p
+    d = dn.Density((1 - s) * p + s * cyclic_density(n, k))
+    atoms = games.atoms_within(family, n, k)
+    local = full_row_lp(atoms, d.p, k) <= dn.DEFAULT_TOL
+    if family == "permutations":
+        res, rebuild = dn.local_bisync_membership(d), dn.mixture_density
+    else:
+        res, rebuild = dn.local_sync_membership(d), dn.response_mixture_density
+    assert isinstance(res, dn.Infeasible) != local
+    if local:
+        assert np.abs(rebuild(res).p - d.p).max() <= dn.DEFAULT_TOL
+    else:
+        on_polytope, at_d = dn.separation_margins(d, res)
+        assert on_polytope <= 0.0
+        assert at_d == pytest.approx(res.violation, abs=1e-12)
+        assert res.violation > dn.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("n, s", [(5, 0.1), (6, 0.1), (6, 0.5)])
+def test_lifted_shortfall_skips_the_tight_resolve_on_c(monkeypatch, n, s):
+    # at tol = 0.05 the LP on the compatible atoms C puts these at t* > tol,
+    # but the lift eats the certificate's margin; a tight re-solve keeps the
+    # lift, so C is posed once and every atom decides
+    tol = 0.05
+    mix = random_permutation_mixture(np.random.default_rng(3), n, 3)
+    d = dn.Density((1 - s) * mix.p + s * cyclic_density(n, n))
+    calls = spy_linprog(monkeypatch)
+    res = dn.local_bisync_membership(d, tol)
+    assert [atoms < math.factorial(n) for atoms, _ in calls] == [True, False]
+    local = full_row_lp(games.atoms_within("permutations", n, n), d.p, n) <= tol
+    assert isinstance(res, dn.Infeasible) != local
+    if local:
+        assert np.abs(dn.mixture_density(res).p - d.p).max() <= tol
+    else:
+        on_polytope, at_d = dn.separation_margins(d, res)
+        assert on_polytope <= 0.0 and at_d == res.violation > tol

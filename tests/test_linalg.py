@@ -227,6 +227,22 @@ def test_nullspace_of_wide_matrix_keeps_full_basis(rng):
     assert np.abs(ns.conj() @ ns.T - np.eye(4)).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape, rank", [((300, 40), 33), ((3, 7), 3)])
+def test_nullspace_survives_an_svd_that_does_not_converge(rng, monkeypatch, shape, rank):
+    # numpy's gesdd raised "SVD did not converge" on one 64 x 64 R factor of a
+    # Kraus-commutant system (a conjugated Pauli (x) S_2 system, n = 8)
+    m = _tall_rank_deficient(rng, *shape, rank)
+    expected = linalg.nullspace(m)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    ns = linalg.nullspace(m)
+    assert ns.shape == expected.shape == (shape[1] - rank, shape[1])
+    assert np.abs(ns.T @ ns.conj() - expected.T @ expected.conj()).max() < 1e-12
+
+
 def _joint_commutant_system_by_loop(mats):
     """(I (x) op^T - op (x) I) for op = K, K* of each K, stacked: the reference."""
     eye, rows = np.eye(mats[0].shape[0]), []
