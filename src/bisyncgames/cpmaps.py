@@ -15,6 +15,7 @@ import numpy as np
 from . import linalg
 from .densities import Density, PermutationMixture, from_permutation, mixture_density, validate
 from .errors import (
+    BadInput,
     InternalMismatch,
     InvalidDensity,
     NotCP,
@@ -65,8 +66,7 @@ def phi_from_density(d: Density, tol: float = DEFAULT_TOL) -> ChoiMap:
         raise InvalidDensity("phi_from_density needs a valid density")
     if not d.square:
         raise ShapeMismatch("need nA = nB and kA = kB")
-    n, k = d.nA, d.kA
-    return ChoiMap(n, k, d.p.transpose(0, 2, 1, 3).reshape(n * k, n * k))
+    return choi_from_tensor(d.p)
 
 
 def choi_from_tensor(p: np.ndarray) -> ChoiMap:
@@ -204,21 +204,24 @@ def adjoint_map(m: ChoiMap) -> ChoiMap:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Operators K_i (each n x k) with Phi(X) = sum_i K_i* X K_i."""
+    """One or more operators K_i, all n x k, with Phi(X) = sum_i K_i* X K_i."""
 
     operators: tuple
 
     def __post_init__(self):
         ops = tuple(linalg.as_cmatrix(k) for k in self.operators)
+        if not ops:
+            raise BadInput("a Kraus set needs at least one operator")
+        if any(k.shape != ops[0].shape for k in ops):
+            raise ShapeMismatch("Kraus operators must share a shape")
         object.__setattr__(self, "operators", ops)
 
     def apply(self, x) -> np.ndarray:
         x = linalg.as_cmatrix(x)
-        out = None
-        for k in self.operators:
-            term = dagger(k) @ x @ k
-            out = term if out is None else out + term
-        return out
+        n = self.operators[0].shape[0]
+        if x.shape != (n, n):
+            raise ShapeMismatch(f"argument must be {n} x {n}")
+        return sum(dagger(k) @ x @ k for k in self.operators)
 
 
 def kraus_from_choi(m: ChoiMap, tol: float = DEFAULT_TOL) -> KrausSet:

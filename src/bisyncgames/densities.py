@@ -32,8 +32,9 @@ from .games import (
 from .linalg import DEFAULT_TOL, within
 from .report import Report
 
-# HiGHS feasibility tolerances for the one re-solve near the polytope's boundary
-_TIGHT_LP = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# HiGHS feasibility tolerances for every membership LP: at its defaults
+# (1e-7) a mixture some 1e-8 outside the polytope passes near its boundary
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -336,27 +337,18 @@ class Infeasible:
     atoms: str = "permutations"
 
 
-def _membership_lp(idx, p, options=None, rows=None):
+def _membership_lp(idx, p, rows=None):
     """Minimize the sup-norm slack t over {lam >= 0 : |A lam - p| <= t, sum lam = 1}.
 
     Column j of A is the flattened density of atom j, whose ones sit at
-    ``idx[j]`` (see :func:`_atom_coordinates`); ``p`` is the density
-    tensor.  Only the distinct rows of A are posed.  A coordinate that
-    no atom hits only bounds t below by |p| there, so it becomes the
-    lower bound of t.  The coordinates (x, y, a, b) and (y, x, b, a) are
-    one and the same row of A, so each such pair is posed once, between
-    the smaller and the larger of its two entries of p.  The optimum is
-    that of the LP over all coordinates.  ``rows``, sorted x <= y
-    coordinates such as :func:`_spanning_rows`, poses only those rows:
-    a relaxation, whose optimum is at most that of the full LP.
-
-    HiGHS is handed the dual: alpha, beta >= 0 on the two sides of each
-    row, gamma >= 0 on the floor of t and a free mu, maximizing
-    hi . beta - lo . alpha + t_floor gamma + mu subject to
-    sum alpha + sum beta + gamma = 1 and (beta - alpha) . A_j + mu <= 0
-    for every atom j.  Its default dual simplex then runs primal simplex
-    on the membership problem, the shorter path on nonlocal inputs.  The
-    weights lam are the multipliers of the atom constraints.
+    ``idx[j]`` (see :func:`_atom_coordinates`).  Only the distinct rows
+    are posed: a coordinate that no atom hits becomes the lower bound of
+    t, and (x, y, a, b) with its mirror (y, x, b, a) is one two-sided
+    row, so the optimum is that of the LP over all coordinates.
+    ``rows``, sorted x <= y coordinates such as :func:`_spanning_rows`,
+    poses only those: a relaxation, whose optimum is at most t*.  HiGHS
+    is handed the dual (README, "Local membership") at ``_LP_OPTIONS``;
+    the weights lam are the multipliers of its atom constraints.
 
     Returns (t*, lam, y, mu), with the duals mapped back onto every
     coordinate: y . col + mu <= 0 for every atom and y . p + mu = t*.
@@ -398,7 +390,7 @@ def _membership_lp(idx, p, options=None, rows=None):
     bounds[-1, 0] = -np.inf
     res = scipy.optimize.linprog(
         c, A_ub=a_ub, b_ub=np.zeros(ncols), A_eq=a_eq, b_eq=[1.0],
-        bounds=bounds, method="highs", options=options,
+        bounds=bounds, method="highs", options=_LP_OPTIONS,
     )
     if res.status != 0:
         raise SolverFailed(f"membership LP failed with HiGHS status {res.status}: "
@@ -448,14 +440,14 @@ def _spanning_rows(family, n, k):
     return spanning
 
 
-def _polish_mixture(idx, p, lam, support_cut=1e-12):
-    """Nonnegative least squares on the LP support to sharpen the weights.
+def _polish_mixture(idx, p, lam):
+    """Nonnegative least squares on the LP support (lam > 1e-12) to sharpen the weights.
 
     Returns (support, weights); the weights sum to one.
     """
     import scipy.optimize
 
-    support = np.flatnonzero(lam > support_cut)
+    support = np.flatnonzero(lam > 1e-12)
     if support.size == 0:
         support = np.array([int(np.argmax(lam))])
     dense = np.zeros((p.size + 1, support.size))
@@ -479,32 +471,22 @@ def _decide_membership(family, d, tol, wrap):
     within ``tol`` on every coordinate, and a certificate only if it
     separates ``d`` by more than ``tol``.
 
-    Two atom sets are posed in turn: first the compatible atoms C, whose
-    coordinates all carry more than ``tol`` of ``p``, found by search;
-    then, when C is not every atom, every atom (the search raises the
-    guard's error beyond the family's guard).  An atom of weight w in a
-    mixture within ``tol`` of ``p`` has p >= w - ``tol`` on each of its
-    coordinates, so every atom carrying more than 2 tol lies in C.  C is
-    solved with HiGHS's default tolerances and, only when that leaves a
-    mixture that misses, once more with tight ones (the density then sits
-    within solver precision of the polytope's boundary); a certificate on
-    C that falls short with t* > ``tol`` falls short by its lift, which a
-    re-solve keeps.  Every atom is solved first on the spanning rows
-    (:func:`_spanning_rows`) with tight tolerances, then, when that
-    settles nothing, on all rows with the default and the tight ones.
-    With t* <= ``tol`` the polished mixture is checked.
+    The stages, one LP each and in this order: the compatible atoms C,
+    whose coordinates all carry more than ``tol`` of ``p`` (only when C
+    is not every atom; any atom of weight above 2 tol in a mixture
+    within ``tol`` lies in C), then every atom on :func:`_spanning_rows`,
+    then every atom on all rows.  Beyond the family's guard the search
+    for every atom raises the guard's error.
 
-    The LP's functional (y, mu), <= 0 on the set posed, is then lifted to
-    every atom.  On a proper subset: with Z the coordinates where
+    The LP's functional (y, mu), <= 0 on the atoms posed, is y itself
+    on every atom and lifted on C: with Z the coordinates where
     p <= tol, every atom q scores y . q + mu <= M = max(0, mu + sum over
     (x, y) of max over (a, b) of max(y, 0)), and q(Z) is 0 on C and at
     least 1 off it, so y - M 1_Z with offset mu is <= 0 on every atom.
-    With C empty there is no LP: t* is infinite, and y = 0, mu = 1 gives
-    the functional -1_Z with offset 1.  On every atom the functional is y
-    itself, also when only the spanning rows were posed.  Within the
-    family's guard the offset is reset to minus the functional's maximum
-    over every atom, in the float sums of :func:`separation_margins`;
-    beyond it, it is the bound above."""
+    With C empty there is no LP, and the functional is -1_Z with offset
+    1.  Within the guard the offset is reset to minus the functional's
+    maximum over every atom, in the float sums of
+    :func:`separation_margins`; beyond it, it is the bound above."""
     n, k = d.nA, d.kA
     flat = d.p.reshape(-1)
     zero = flat <= tol
@@ -533,11 +515,11 @@ def _decide_membership(family, d, tol, wrap):
             witness = _residual_witness(atoms, lam, d.p, k, which)
         return Infeasible(float(functional @ flat) + offset, functional, offset, witness, family)
 
-    def settle(atoms, options=None, rows=None):
+    def settle(atoms, rows):
         """One LP on ``atoms`` and both checks: (verdict or None, t*, the shortfall)."""
         idx = _atom_coordinates(atoms, k)
         if len(atoms):
-            t_star, lam, y, mu = _membership_lp(idx, d.p, options, rows)
+            t_star, lam, y, mu = _membership_lp(idx, d.p, rows)
         else:
             t_star, lam, y, mu = np.inf, None, np.zeros(flat.size), 1.0
         gap = None
@@ -553,16 +535,14 @@ def _decide_membership(family, d, tol, wrap):
             return cert, t_star, None
         return None, t_star, gap or f"its certificate separates by only {cert.violation:.3e}"
 
-    if len(compatible) < total:
-        verdict, t_star, gap = settle(compatible)
-        if verdict is None and t_star <= tol:
-            verdict, t_star, gap = settle(compatible, _TIGHT_LP)
-        if verdict is not None:
-            return verdict
-    atoms = every()
-    for options, rows in ((_TIGHT_LP, _spanning_rows(family, n, k)),
-                          (None, None), (_TIGHT_LP, None)):
-        verdict, t_star, gap = settle(atoms, options, rows)
+    def stages():
+        if len(compatible) < total:
+            yield compatible, None
+        yield every(), _spanning_rows(family, n, k)
+        yield every(), None
+
+    for atoms, rows in stages():
+        verdict, t_star, gap = settle(atoms, rows)
         if verdict is not None:
             return verdict
     raise SolverFailed(f"the LP puts the density t* = {t_star:.3e} from the local "

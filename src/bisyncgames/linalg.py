@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalMismatch, NotHermitian
+from .errors import InternalMismatch, NotHermitian, ShapeMismatch
 
 DEFAULT_TOL = 1e-9
 
@@ -24,7 +24,7 @@ def as_cmatrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array without copying when possible."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
+        raise ShapeMismatch(f"expected a nonempty 2-D matrix, got shape {m.shape}")
     return m
 
 
@@ -129,7 +129,12 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
         return np.eye(m.shape[1], dtype=np.complex128)
     if m.shape[0] > m.shape[1]:
         m = np.linalg.qr(m, mode="r")
-    full = m.shape[0] < m.shape[1]
+    rank, vh = _ranked_svd(m, tol, full=m.shape[0] < m.shape[1])
+    return vh[rank:].conj()
+
+
+def _ranked_svd(m, tol: float, full: bool = False):
+    """(rank, V*) of ``m``, counting singular values above ``tol * max(1, sigma_max)``."""
     try:
         _, s, vh = np.linalg.svd(m, full_matrices=full)
     except np.linalg.LinAlgError:
@@ -139,8 +144,7 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
         _, s, vh = scipy.linalg.svd(m, full_matrices=full, lapack_driver="gesvd")
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()
+    return int(np.sum(s > cutoff)), vh
 
 
 def joint_commutant(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -152,11 +156,11 @@ def joint_commutant(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """
     mats = [as_cmatrix(k) for k in mats]
     if not mats:
-        raise ValueError("need at least one matrix")
+        raise ShapeMismatch("need at least one matrix")
     d = mats[0].shape[0]
     for k in mats:
         if k.shape != (d, d):
-            raise ValueError("all matrices must be square of equal size")
+            raise ShapeMismatch("all matrices must be square of equal size")
     ops = np.array(mats)
     ops = np.stack([ops, ops.conj().swapaxes(1, 2)], axis=1)  # K, K*, for each K
     # vec(A op - op A) = (I (x) op^T - op (x) I) vec(A)  [row-major vec]; entry
@@ -173,9 +177,7 @@ def orthonormal_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not mats:
         return np.zeros((0, 0), dtype=np.complex128)
     stack = np.vstack([vec(as_cmatrix(m)) for m in mats])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank, vh = _ranked_svd(stack, tol)
     return vh[:rank]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bisyncgames import cpmaps, densities as dn, linalg, qperm
 from bisyncgames.errors import (
+    BadInput,
     InvalidDensity,
     NotCP,
     NotHermitian,
@@ -463,3 +464,17 @@ def test_tp_and_unital_tolerances_scale_with_the_choi_matrix(seed, n, k, size, p
         m = cpmaps.choi_from_tensor(_tensor_with_deviation(seed, n, k, size, delta * size, prop))
         assert linalg.norm_max(m.choi) == size
         assert check(m, tol) == passes
+
+
+def test_apply_map_rejects_a_vector():
+    with pytest.raises(ShapeMismatch, match="nonempty 2-D matrix"):
+        cpmaps.apply_map(cpmaps.identity_map(2), [1, 2])
+
+
+def test_kraus_set_needs_operators_of_one_shape(rng):
+    with pytest.raises(BadInput, match="at least one operator"):
+        cpmaps.KrausSet(())
+    with pytest.raises(ShapeMismatch, match="share a shape"):
+        cpmaps.KrausSet((rng.normal(size=(2, 3)), rng.normal(size=(3, 2))))
+    with pytest.raises(ShapeMismatch, match="must be 2 x 2"):
+        cpmaps.KrausSet((rng.normal(size=(2, 3)),)).apply(np.eye(3))

@@ -346,8 +346,8 @@ def test_membership_boundary_slice_is_infeasible(monkeypatch, n, s):
     calls = spy_linprog(monkeypatch)
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.Infeasible)
-    # the spanning rows are solved at the tight tolerances from the start,
-    # so no second LP is needed this close to the boundary
+    # every LP runs at primal and dual feasibility 1e-10, so no second LP
+    # is needed this close to the boundary
     assert len(calls) == 1
     # full support: the LP over every atom gives the functional, unlifted,
     # so it is 0 on the zero pattern, where no permutation and no mass sit
@@ -433,7 +433,7 @@ def full_row_lp(atoms, p, k):
     c[-1] = 1.0
     res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=np.concatenate([b, -b]),
                                  A_eq=a_eq, b_eq=[1.0], method="highs",
-                                 options=dn._TIGHT_LP)
+                                 options=dn._LP_OPTIONS)
     assert res.status == 0
     return res.fun
 
@@ -471,10 +471,10 @@ def test_reduced_lp_matches_full_row_reference(kind, n, k, seed, s):
     family = "responses" if kind == "responses" else "permutations"
     kk = k if family == "responses" else n
     atoms = games.atoms_within(family, n, kk)
-    # both sides at the tight tolerances: near the boundary the default
-    # ones leave t* uncertain by ~1e-8
+    # both sides at the same HiGHS options: near the boundary HiGHS's
+    # default ones leave t* uncertain by ~1e-8
     idx = dn._atom_coordinates(atoms, kk)
-    t_star, lam, y, mu = dn._membership_lp(idx, d.p, dn._TIGHT_LP)
+    t_star, lam, y, mu = dn._membership_lp(idx, d.p)
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, kk), abs=1e-9)
     # the weights and the functional returned by the dual posing
     assert lam.min() >= -1e-12
@@ -542,6 +542,22 @@ def test_mixture_with_an_atom_near_tol_is_local(eps):
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
+
+
+def test_atom_near_tol_is_settled_by_one_lp_on_c(monkeypatch):
+    # the extra atom carries 1.5e-9 > tol, so it is compatible; at HiGHS's
+    # default feasibility tolerance (1e-7) the LP on C would miss it
+    rng = np.random.default_rng(0)
+    n, eps = 4, 1.5e-9
+    base = random_permutation_mixture(rng, n, 3)
+    extra = dn.from_permutation(rng.permutation(n))
+    d = dn.Density((1 - eps) * base.p + eps * extra.p)
+    calls = spy_linprog(monkeypatch)
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.PermutationMixture)
+    assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
+    assert len(calls) == 1 and calls[0][0] < math.factorial(n)
+    assert len(res.permutations) == 4
 
 
 def test_nonlocal_with_candidate_atoms_gets_an_exact_certificate():
@@ -861,8 +877,8 @@ def test_full_support_verdicts_match_the_full_row_lp(family, base, n, k, seed, s
 @pytest.mark.parametrize("n, s", [(5, 0.1), (6, 0.1), (6, 0.5)])
 def test_lifted_shortfall_skips_the_tight_resolve_on_c(monkeypatch, n, s):
     # at tol = 0.05 the LP on the compatible atoms C puts these at t* > tol,
-    # but the lift eats the certificate's margin; a tight re-solve keeps the
-    # lift, so C is posed once and every atom decides
+    # but the lift eats the certificate's margin, so C is posed once and
+    # every atom decides
     tol = 0.05
     mix = random_permutation_mixture(np.random.default_rng(3), n, 3)
     d = dn.Density((1 - s) * mix.p + s * cyclic_density(n, n))
@@ -876,3 +892,21 @@ def test_lifted_shortfall_skips_the_tight_resolve_on_c(monkeypatch, n, s):
     else:
         on_polytope, at_d = dn.separation_margins(d, res)
         assert on_polytope <= 0.0 and at_d == res.violation > tol
+
+
+def test_every_membership_lp_gets_the_one_options_object(monkeypatch):
+    # a local input that at tol 0.05 poses all three stages: the compatible
+    # atoms, every atom on the spanning rows, and every atom on all rows
+    mix = random_permutation_mixture(np.random.default_rng(0), 4, 3)
+    d = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4))
+    options, real = [], scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        options.append(kwargs.get("options"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    res = dn.local_bisync_membership(d, 0.05)
+    assert isinstance(res, dn.PermutationMixture)
+    assert np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05
+    assert len(options) == 3 and all(o is dn._LP_OPTIONS for o in options)

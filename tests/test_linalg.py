@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisyncgames import cpmaps, linalg, qperm
-from bisyncgames.errors import NotHermitian
+from bisyncgames.errors import NotHermitian, ShapeMismatch
 
 from conftest import pauli_systems, random_hermitian, record_nullspace_inputs, sample_systems
 
@@ -232,7 +232,8 @@ def test_nullspace_survives_an_svd_that_does_not_converge(rng, monkeypatch, shap
     # numpy's gesdd raised "SVD did not converge" on one 64 x 64 R factor of a
     # Kraus-commutant system (a conjugated Pauli (x) S_2 system, n = 8)
     m = _tall_rank_deficient(rng, *shape, rank)
-    expected = linalg.nullspace(m)
+    rows = [r[None, :] for r in m]
+    expected, expected_span = linalg.nullspace(m), linalg.orthonormal_span(rows)
 
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -241,6 +242,10 @@ def test_nullspace_survives_an_svd_that_does_not_converge(rng, monkeypatch, shap
     ns = linalg.nullspace(m)
     assert ns.shape == expected.shape == (shape[1] - rank, shape[1])
     assert np.abs(ns.T @ ns.conj() - expected.T @ expected.conj()).max() < 1e-12
+    # the span of the rows goes through the same retry and rank rule
+    span = linalg.orthonormal_span(rows)
+    assert span.shape == expected_span.shape == (rank, shape[1])
+    assert np.abs(span.T @ span.conj() - expected_span.T @ expected_span.conj()).max() < 1e-12
 
 
 def _joint_commutant_system_by_loop(mats):
@@ -279,3 +284,17 @@ def test_tall_nullspace_agrees_with_full_svd(rng, rows, cols, rank):
     assert ns.shape == expected.shape == (cols - rank, cols)
     assert linalg.span_containment_residual(_as_matrices(ns), _as_matrices(expected)) <= 1e-12
     assert linalg.span_containment_residual(_as_matrices(expected), _as_matrices(ns)) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [np.zeros(3), np.zeros((0, 2)), np.zeros((2, 2, 2))])
+def test_as_cmatrix_rejects_what_is_not_a_matrix(a):
+    with pytest.raises(ShapeMismatch, match="nonempty 2-D matrix"):
+        linalg.as_cmatrix(a)
+
+
+@pytest.mark.parametrize("mats, message", [([], "at least one"),
+                                           ([np.eye(2), np.eye(3)], "square of equal size"),
+                                           ([np.ones((2, 3))], "square of equal size")])
+def test_joint_commutant_rejects_unequal_or_no_matrices(mats, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        linalg.joint_commutant(mats)

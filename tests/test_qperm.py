@@ -491,3 +491,11 @@ def test_fix_check_builds_no_kron_and_spans_each_basis_once(index, monkeypatch):
     assert fe.report.passed
     assert krons["kron"] == 0
     assert spans["orthonormal_span"] == 4
+
+
+def test_conjugate_and_factorizable_apply_reject_vectors():
+    s = sample_systems(5, 1)[0]
+    with pytest.raises(ShapeMismatch, match="nonempty 2-D matrix"):
+        qperm.conjugate(s, np.zeros(3))
+    with pytest.raises(ShapeMismatch, match="nonempty 2-D matrix"):
+        qperm.factorizable_apply(s, np.zeros(4))
