@@ -35,6 +35,11 @@ from .report import Report
 # HiGHS feasibility tolerances for every membership LP: at its defaults
 # (1e-7) a mixture some 1e-8 outside the polytope passes near its boundary
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# Simplex iterations allowed per variable and constraint of a membership
+# LP.  The solves measured took at most 0.6; at these tolerances HiGHS can
+# stall near a degenerate optimum, and the limit turns that into
+# SolverFailed instead of an unbounded wait.
+_LP_ITERATIONS_PER_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -347,18 +352,21 @@ def _membership_lp(idx, p, rows=None):
     row, so the optimum is that of the LP over all coordinates.
     ``rows``, sorted x <= y coordinates such as :func:`_spanning_rows`,
     poses only those: a relaxation, whose optimum is at most t*.  HiGHS
-    is handed the dual (README, "Local membership") at ``_LP_OPTIONS``;
-    the weights lam are the multipliers of its atom constraints.
+    is handed the dual (README, "Local membership") at ``_LP_OPTIONS``,
+    with at most ``_LP_ITERATIONS_PER_SIZE`` simplex iterations per
+    variable and constraint; the weights lam are the multipliers of its
+    atom constraints.
 
     Returns (t*, lam, y, mu), with the duals mapped back onto every
     coordinate: y . col + mu <= 0 for every atom and y . p + mu = t*.
-    Raises :class:`SolverFailed` when HiGHS reports no optimum.
+    Raises :class:`SolverFailed` when HiGHS reports no optimum, as on
+    reaching the iteration limit.
     """
     import scipy.optimize
     import scipy.sparse
 
     flat = p.reshape(-1)
-    mirror = np.arange(flat.size).reshape(p.shape).transpose(1, 0, 3, 2).reshape(-1)
+    mirror = _mirror(p.shape)
     upper = _upper_coordinates(idx)
     hit = np.zeros(flat.size, dtype=bool)
     hit[upper] = True
@@ -390,7 +398,8 @@ def _membership_lp(idx, p, rows=None):
     bounds[-1, 0] = -np.inf
     res = scipy.optimize.linprog(
         c, A_ub=a_ub, b_ub=np.zeros(ncols), A_eq=a_eq, b_eq=[1.0],
-        bounds=bounds, method="highs", options=_LP_OPTIONS,
+        bounds=bounds, method="highs",
+        options={**_LP_OPTIONS, "maxiter": _LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size)},
     )
     if res.status != 0:
         raise SolverFailed(f"membership LP failed with HiGHS status {res.status}: "
@@ -403,6 +412,11 @@ def _membership_lp(idx, p, rows=None):
     # return some 1e-11 below zero
     lam = np.maximum(-res.ineqlin.marginals, 0.0)
     return -float(res.fun), lam, y, float(mu)
+
+
+def _mirror(shape):
+    """Flat index of (y, x, b, a) for each flat coordinate (x, y, a, b)."""
+    return np.arange(math.prod(shape)).reshape(shape).transpose(1, 0, 3, 2).reshape(-1)
 
 
 def _upper_coordinates(idx):
@@ -440,6 +454,45 @@ def _spanning_rows(family, n, k):
     return spanning
 
 
+def _row_system(idx, p):
+    """The equations A lam = p, sum lam = 1 for the atoms at ``idx``, on their distinct rows.
+
+    Returns the dense (a, b): one row per x <= y coordinate that some
+    atom hits, then the all-ones row with target 1.  A row with x < y
+    stands for its mirror too, so it is scaled by sqrt(2) and its target
+    is the mean of p at the two; ||a lam - b||^2 is then the sum of
+    squared residuals over every coordinate, less a constant.
+    """
+    flat = p.reshape(-1)
+    upper = _upper_coordinates(idx)
+    rows = np.unique(upper)
+    mates = _mirror(p.shape)[rows]
+    scale = np.where(mates == rows, 1.0, math.sqrt(2.0))
+    r = np.searchsorted(rows, upper)
+    a = np.zeros((rows.size + 1, len(idx)))
+    a[r, np.arange(len(idx))[:, None]] = scale[r]
+    a[-1] = 1.0
+    return a, np.append(scale * (flat[rows] + flat[mates]) / 2, 1.0)
+
+
+def _unique_mixture(idx, p):
+    """The least-squares mixture of linearly independent atoms, or None when they are dependent.
+
+    The atoms at ``idx`` are independent as densities exactly when the
+    matrix of :func:`_row_system` has full column rank, which needs no
+    more atoms than distinct rows plus one; then at most one mixture
+    reproduces p, and one ``lstsq`` finds it.  Weights <= 1e-14 are
+    dropped and the rest renormalized.  Returns (support, weights).
+    """
+    if len(idx) > np.count_nonzero(np.bincount(_upper_coordinates(idx).ravel())) + 1:
+        return None
+    w, _, rank, _ = np.linalg.lstsq(*_row_system(idx, p), rcond=None)
+    support = np.flatnonzero(w > 1e-14)
+    if rank < len(idx) or not support.size:
+        return None
+    return support, w[support] / w[support].sum()
+
+
 def _polish_mixture(idx, p, lam):
     """Nonnegative least squares on the LP support (lam > 1e-12) to sharpen the weights.
 
@@ -450,10 +503,7 @@ def _polish_mixture(idx, p, lam):
     support = np.flatnonzero(lam > 1e-12)
     if support.size == 0:
         support = np.array([int(np.argmax(lam))])
-    dense = np.zeros((p.size + 1, support.size))
-    dense[idx[support], np.arange(support.size)[:, None]] = 1.0
-    dense[-1] = 1.0
-    w, _ = scipy.optimize.nnls(dense, np.append(p.reshape(-1), 1.0))
+    w, _ = scipy.optimize.nnls(*_row_system(idx[support], p))
     keep = w > 1e-14
     return support[keep], w[keep] / w[keep].sum()
 
@@ -471,12 +521,14 @@ def _decide_membership(family, d, tol, wrap):
     within ``tol`` on every coordinate, and a certificate only if it
     separates ``d`` by more than ``tol``.
 
-    The stages, one LP each and in this order: the compatible atoms C,
-    whose coordinates all carry more than ``tol`` of ``p`` (only when C
-    is not every atom; any atom of weight above 2 tol in a mixture
-    within ``tol`` lies in C), then every atom on :func:`_spanning_rows`,
-    then every atom on all rows.  Beyond the family's guard the search
-    for every atom raises the guard's error.
+    The compatible atoms C are those whose coordinates all carry more
+    than ``tol`` of ``p``; any atom of weight above 2 tol in a mixture
+    within ``tol`` lies in C.  When C is linearly independent as
+    densities, its one least-squares mixture (:func:`_unique_mixture`)
+    is tried first, with no LP.  Then the stages, one LP each and in this
+    order: C (only when C is not every atom), every atom on
+    :func:`_spanning_rows`, every atom on all rows.  Beyond the family's
+    guard the search for every atom raises the guard's error.
 
     The LP's functional (y, mu), <= 0 on the atoms posed, is y itself
     on every atom and lifted on C: with Z the coordinates where
@@ -515,6 +567,12 @@ def _decide_membership(family, d, tol, wrap):
             witness = _residual_witness(atoms, lam, d.p, k, which)
         return Infeasible(float(functional @ flat) + offset, functional, offset, witness, family)
 
+    def checked(atoms, support, weights):
+        """(the mixture as a verdict if it is within ``tol`` on every coordinate, its error)."""
+        kept = atoms[support]
+        err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
+        return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
+
     def settle(atoms, rows):
         """One LP on ``atoms`` and both checks: (verdict or None, t*, the shortfall)."""
         idx = _atom_coordinates(atoms, k)
@@ -524,11 +582,9 @@ def _decide_membership(family, d, tol, wrap):
             t_star, lam, y, mu = np.inf, None, np.zeros(flat.size), 1.0
         gap = None
         if t_star <= tol:
-            support, weights = _polish_mixture(idx, d.p, lam)
-            kept = atoms[support]
-            err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
-            if err <= tol:
-                return wrap(weights, tuple(map(tuple, kept.tolist()))), t_star, None
+            verdict, err = checked(atoms, *_polish_mixture(idx, d.p, lam))
+            if verdict is not None:
+                return verdict, t_star, None
             gap = f"the closest mixture found is {err:.3e} away"
         cert = certificate(atoms, lam, y, mu)
         if cert.violation > tol:
@@ -541,6 +597,12 @@ def _decide_membership(family, d, tol, wrap):
         yield every(), _spanning_rows(family, n, k)
         yield every(), None
 
+    if len(compatible):
+        found = _unique_mixture(_atom_coordinates(compatible, k), d.p)
+        if found is not None:
+            verdict, _ = checked(compatible, *found)
+            if verdict is not None:
+                return verdict
     for atoms, rows in stages():
         verdict, t_star, gap = settle(atoms, rows)
         if verdict is not None:
@@ -557,15 +619,20 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     an :class:`Infeasible` certificate is returned.
 
     The permutations compatible with the support (every coordinate above
-    ``tol``) are found by search and decided first.  A nonlocal verdict on
-    a density without full support lifts the LP's functional on them to
+    ``tol``) are found by search and decided first.  When they are
+    linearly independent as densities, one least-squares solve, with no
+    LP and no scipy, tries their only candidate mixture; otherwise, or
+    when it misses, an LP on them decides.  A nonlocal verdict on a
+    density without full support lifts the LP's functional on them to
     every permutation.  The LP over all n! permutations, which decides the
     rest, is posed first on a spanning set of its rows and on all of them
     only when that settles nothing.  Either way ``violation`` is a
     separating value, not the distance t* of the LP over all permutations
     and all rows (README, "Local membership").  n is bounded only through
     the guard: PreconditionFailed is raised when the search or an LP would
-    hold more than 8! permutations.
+    hold more than 8! permutations.  SolverFailed is raised when no stage
+    settles the density or an LP ends without an optimum, as on reaching
+    its iteration limit.
     """
     if not validate(d, tol):
         raise PreconditionFailed("density must be valid")

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -280,8 +281,13 @@ def test_solver_failure_cli_exits_2_without_traceback(monkeypatch, capsys, tmp_p
     def failing_linprog(*args, **kwargs):
         return scipy.optimize.OptimizeResult(status=2, message="infeasible (forced)")
 
-    path = tmp_path / "perm.json"
-    serialize.dump_json(serialize.density_to_dict(dn.from_permutation([1, 0, 2])), str(path))
+    # (1 - 1e-6) U_4 + 1e-6 z_4: its 24 atoms have rank 23, so it poses an LP
+    perms = [dn.from_permutation(s) for s in itertools.permutations(range(4))]
+    z4 = dn.Density(np.fromfunction(
+        lambda x, y, a, b: np.where(x == y, a == b, (a - b) % 4 == 1) / 4, (4, 4, 4, 4)))
+    d = dn.mixture(perms + [z4], [(1 - 1e-6) / 24] * 24 + [1e-6])
+    path = tmp_path / "lp_bound.json"
+    serialize.dump_json(serialize.density_to_dict(d), str(path))
     monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
     assert cli.run(["density", "local-decompose", "--in", str(path)]) == 2
     out, err = capsys.readouterr()
@@ -299,6 +305,26 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_sparse_local_decompose_loads_no_scipy(tmp_path):
+    # 6 random permutations of 7 points are independent as densities, so one
+    # least-squares solve decides the mixture and no LP imports scipy
+    rng = np.random.default_rng(7)
+    perms = [dn.from_permutation(rng.permutation(7)) for _ in range(6)]
+    d = dn.mixture(perms, rng.dirichlet(np.ones(6)))
+    path = tmp_path / "sparse.json"
+    serialize.dump_json(serialize.density_to_dict(d), str(path))
+    code = ("import contextlib, io, sys\n"
+            "from bisyncgames import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.run(['density', 'local-decompose', '--in', {str(path)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "0 []"
 
 
 def _game_json(zeros):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -367,10 +370,16 @@ def failing_linprog(*args, **kwargs):
     return scipy.optimize.OptimizeResult(status=2, message="infeasible (forced)")
 
 
+def lp_bound_density():
+    """(1 - 1e-6) U_4 + 1e-6 z_4: full support, and its 24 atoms have rank 23,
+    so no least-squares step decides it and it poses an LP."""
+    return dn.Density((1 - 1e-6) * uniform_permutation_density(4) + 1e-6 * cyclic_density(4, 4))
+
+
 def test_solver_failure_raises_package_error(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
     with pytest.raises(SolverFailed, match="status 2"):
-        dn.local_bisync_membership(dn.from_permutation([1, 0, 2]))
+        dn.local_bisync_membership(lp_bound_density())
 
 
 def loop_density(f, k):
@@ -518,9 +527,25 @@ def random_permutation_mixture(rng, n, m):
     return dn.mixture([dn.from_permutation(s) for s in perms], w)
 
 
+def block_uniform(n, m):
+    """The uniform mixture of the m! permutations of 0..m-1 that fix m..n-1.
+    Its compatible atoms are those m!, dependent as densities for m >= 4."""
+    fixed = tuple(range(m, n))
+    return dn.mixture([dn.from_permutation(s + fixed) for s in itertools.permutations(range(m))],
+                      np.full(math.factorial(m), 1 / math.factorial(m)))
+
+
 def test_sparse_local_mixture_poses_only_candidate_atoms(monkeypatch):
+    # 6 random permutations of 7 points are independent: one least-squares
+    # solve on them decides, with no LP
     d = random_permutation_mixture(np.random.default_rng(7), 7, 6)
     calls = spy_linprog(monkeypatch)
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.PermutationMixture)
+    assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
+    assert calls == []
+    # the 24 permutations of 4 of the 7 points are not: the LP poses them alone
+    d = block_uniform(7, 4)
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
@@ -528,7 +553,7 @@ def test_sparse_local_mixture_poses_only_candidate_atoms(monkeypatch):
     dn._membership_lp(dn._atom_coordinates(atoms, 7), d.p)
     (cand_atoms, cand_vars), (all_atoms, all_vars) = calls
     assert all_atoms == math.factorial(7)
-    assert 6 <= cand_atoms < all_atoms
+    assert cand_atoms == 24
     assert cand_vars < all_vars
 
 
@@ -545,19 +570,24 @@ def test_mixture_with_an_atom_near_tol_is_local(eps):
 
 
 def test_atom_near_tol_is_settled_by_one_lp_on_c(monkeypatch):
-    # the extra atom carries 1.5e-9 > tol, so it is compatible; at HiGHS's
-    # default feasibility tolerance (1e-7) the LP on C would miss it
+    # the extra atom carries 1.5e-9 > tol, so it is compatible.  With
+    # independent compatible atoms C one least-squares solve finds it, with
+    # no LP; with C dependent (the 24 permutations of 4 of the 5 points, and
+    # the extra one) one LP on C does, which at HiGHS's default feasibility
+    # tolerance (1e-7) would miss it
     rng = np.random.default_rng(0)
-    n, eps = 4, 1.5e-9
-    base = random_permutation_mixture(rng, n, 3)
-    extra = dn.from_permutation(rng.permutation(n))
-    d = dn.Density((1 - eps) * base.p + eps * extra.p)
-    calls = spy_linprog(monkeypatch)
-    res = dn.local_bisync_membership(d)
-    assert isinstance(res, dn.PermutationMixture)
-    assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
-    assert len(calls) == 1 and calls[0][0] < math.factorial(n)
-    assert len(res.permutations) == 4
+    eps = 1.5e-9
+    for n, mix, lps in [(4, random_permutation_mixture(rng, 4, 3), 0), (5, block_uniform(5, 4), 1)]:
+        sigma = tuple(rng.permutation(n).tolist())
+        d = dn.Density((1 - eps) * mix.p + eps * dn.from_permutation(sigma).p)
+        calls = spy_linprog(monkeypatch)
+        res = dn.local_bisync_membership(d)
+        assert isinstance(res, dn.PermutationMixture)
+        assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
+        assert len(calls) == lps and all(atoms < math.factorial(n) for atoms, _ in calls)
+        assert sigma in res.permutations
+        if lps == 0:
+            assert len(res.permutations) == 4
 
 
 def test_nonlocal_with_candidate_atoms_gets_an_exact_certificate():
@@ -909,4 +939,121 @@ def test_every_membership_lp_gets_the_one_options_object(monkeypatch):
     res = dn.local_bisync_membership(d, 0.05)
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05
-    assert len(options) == 3 and all(o is dn._LP_OPTIONS for o in options)
+    # one tolerance setting; only the iteration limit follows the LP's size
+    assert len(options) == 3
+    assert all({key: o[key] for key in dn._LP_OPTIONS} == dn._LP_OPTIONS
+               and set(o) == {*dn._LP_OPTIONS, "maxiter"} for o in options)
+
+
+# ---------------------------------------------------------------------------
+# Independent compatible atoms: one least-squares solve before any LP
+
+
+def lp_route(decide, d, tol):
+    """The verdict with the least-squares step switched off, or the SolverFailed it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dn, "_unique_mixture", lambda idx, p: None)
+        try:
+            return decide(d, tol)
+        except SolverFailed as exc:
+            return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["permutations", "responses"]), n=st.integers(3, 7),
+       atoms=st.integers(1, 8), s=st.sampled_from([0.0, 0.0, 0.1, 0.5]),
+       tol=st.sampled_from([1e-9, 1e-6, 0.05]), seed=st.integers(0, 2**32 - 1))
+def test_least_squares_step_agrees_with_the_lp_route(family, n, atoms, s, tol, seed):
+    # a mixture of a few random atoms, moved toward z by s
+    rng = np.random.default_rng(seed)
+    k = n if family == "permutations" else 3
+    draw = (lambda: rng.permutation(n)) if family == "permutations" else \
+        (lambda: rng.integers(k, size=n))
+    w = rng.dirichlet(np.ones(atoms))
+    p = sum(wj * loop_density(draw(), k) for wj in w)
+    d = dn.Density((1 - s) * p + s * cyclic_density(n, k))
+    if family == "permutations":
+        decide, rebuild = dn.local_bisync_membership, dn.mixture_density
+    else:
+        decide, rebuild = dn.local_sync_membership, dn.response_mixture_density
+    try:
+        res = decide(d, tol)
+    except SolverFailed:
+        return
+    ref = lp_route(decide, d, tol)
+    if not isinstance(ref, SolverFailed):
+        assert isinstance(res, dn.Infeasible) == isinstance(ref, dn.Infeasible)
+    if isinstance(res, dn.Infeasible):
+        on_polytope, at_d = dn.separation_margins(d, res)
+        assert on_polytope <= 0.0 and at_d > tol
+    else:
+        assert np.abs(rebuild(res).p - d.p).max() <= tol
+
+
+def test_least_squares_step_skips_dependent_atoms(monkeypatch):
+    # U_4's 24 atoms have rank 23, so the solve reports a deficient rank;
+    # U_6's 720 atoms outnumber its 486 + 1 rows, so none is tried.  A
+    # single atom is independent
+    solves, real = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: solves.append(1) or real(*args, **kw))
+    for n, tried in [(4, 1), (6, 0)]:
+        solves.clear()
+        idx = dn._atom_coordinates(games.atoms_within("permutations", n, n), n)
+        assert dn._unique_mixture(idx, uniform_permutation_density(n)) is None
+        assert len(solves) == tried
+    atom = games.atoms_within("permutations", 6, 6)[[7]]
+    support, weights = dn._unique_mixture(dn._atom_coordinates(atom, 6),
+                                          dn.from_permutation(atom[0]).p)
+    assert support.tolist() == [0] and weights.tolist() == [1.0]
+
+
+def test_row_system_matches_the_sum_of_squares_over_every_coordinate(rng):
+    # ||a lam - b||^2 differs from the squared residual over all n^2 k^2
+    # coordinates and the sum of the weights by a constant in lam
+    for family, n, k in [("permutations", 5, 5), ("responses", 4, 3)]:
+        atoms = games.atoms_within(family, n, k)[rng.choice(20, size=6, replace=False)]
+        idx = dn._atom_coordinates(atoms, k)
+        p = rng.random((n, n, k, k))
+        a, b = dn._row_system(idx, p)
+        dense = np.zeros((p.size + 1, len(atoms)))
+        dense[idx, np.arange(len(atoms))[:, None]] = 1.0
+        dense[-1] = 1.0
+        target = np.append(p.reshape(-1), 1.0)
+        gaps = [np.sum((dense @ lam - target) ** 2) - np.sum((a @ lam - b) ** 2)
+                for lam in rng.random((4, len(atoms)))]
+        assert np.ptp(gaps) <= 1e-9
+        assert a.shape[0] < dense.shape[0]
+
+
+def test_membership_stall_ends_in_seconds():
+    # At dual feasibility 1e-10 HiGHS once ran the every-atom LP on this
+    # input for over 150k iterations without end; the iteration limit turns
+    # that into SolverFailed.  A subprocess, so that a stall fails the test
+    # instead of hanging the suite
+    code = """
+import numpy as np
+from bisyncgames import densities as dn
+from bisyncgames.errors import SolverFailed
+for seed in (2, 3):
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(6) for _ in range(12)]
+    mix = dn.mixture([dn.from_permutation(s) for s in perms], rng.dirichlet(np.ones(12)))
+    x, y, a, b = np.indices((6, 6, 6, 6))
+    z = np.where(x == y, a == b, (a - b) % 6 == 1) / 6
+    d = dn.Density((1 - 1e-8) * mix.p + 1e-8 * z)
+    try:
+        res = dn.local_bisync_membership(d, 0.05)
+    except SolverFailed:
+        print("SolverFailed")
+    else:
+        if isinstance(res, dn.Infeasible):
+            on_polytope, at_d = dn.separation_margins(d, res)
+            print("Infeasible", on_polytope <= 0.0 and at_d > 0.05)
+        else:
+            print("Mixture", np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dn.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=120).stdout.splitlines()
+    assert len(out) == 2 and set(out) <= {"SolverFailed", "Infeasible True", "Mixture True"}
