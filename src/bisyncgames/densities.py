@@ -457,8 +457,9 @@ def _spanning_rows(family, n, k):
 def _row_system(idx, p):
     """The equations A lam = p, sum lam = 1 for the atoms at ``idx``, on their distinct rows.
 
-    Returns the dense (a, b): one row per x <= y coordinate that some
-    atom hits, then the all-ones row with target 1.  A row with x < y
+    The least-squares system of :func:`_unique_mixture`.  Returns the
+    dense (a, b): one row per x <= y coordinate that some atom hits,
+    then the all-ones row with target 1.  A row with x < y
     stands for its mirror too, so it is scaled by sqrt(2) and its target
     is the mean of p at the two; ||a lam - b||^2 is then the sum of
     squared residuals over every coordinate, less a constant.
@@ -493,21 +494,6 @@ def _unique_mixture(idx, p):
     return support, w[support] / w[support].sum()
 
 
-def _polish_mixture(idx, p, lam):
-    """Nonnegative least squares on the LP support (lam > 1e-12) to sharpen the weights.
-
-    Returns (support, weights); the weights sum to one.
-    """
-    import scipy.optimize
-
-    support = np.flatnonzero(lam > 1e-12)
-    if support.size == 0:
-        support = np.array([int(np.argmax(lam))])
-    w, _ = scipy.optimize.nnls(*_row_system(idx[support], p))
-    keep = w > 1e-14
-    return support[keep], w[keep] / w[keep].sum()
-
-
 def _residual_witness(atoms, lam, p, k, which=""):
     """The coordinate where the mixture ``lam`` of ``atoms`` misses ``p`` most."""
     resid = np.abs(_atom_mixture(atoms, lam, k) - p)
@@ -528,7 +514,11 @@ def _decide_membership(family, d, tol, wrap):
     is tried first, with no LP.  Then the stages, one LP each and in this
     order: C (only when C is not every atom), every atom on
     :func:`_spanning_rows`, every atom on all rows.  Beyond the family's
-    guard the search for every atom raises the guard's error.
+    guard the search for every atom raises the guard's error.  Each
+    stage checks the LP's own weights (support lam > 1e-12,
+    renormalized), whatever its t*: the stages on C and on all rows pose
+    every distinct row, so weights at t* <= tol already reproduce p
+    within t*, and on a local p the spanning rows carry every other row.
 
     The LP's functional (y, mu), <= 0 on the atoms posed, is y itself
     on every atom and lifted on C: with Z the coordinates where
@@ -574,22 +564,23 @@ def _decide_membership(family, d, tol, wrap):
         return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
 
     def settle(atoms, rows):
-        """One LP on ``atoms`` and both checks: (verdict or None, t*, the shortfall)."""
+        """One LP on ``atoms`` and both checks: (verdict or None, why neither check passed)."""
         idx = _atom_coordinates(atoms, k)
         if len(atoms):
             t_star, lam, y, mu = _membership_lp(idx, d.p, rows)
-        else:
-            t_star, lam, y, mu = np.inf, None, np.zeros(flat.size), 1.0
-        gap = None
-        if t_star <= tol:
-            verdict, err = checked(atoms, *_polish_mixture(idx, d.p, lam))
+            support = np.flatnonzero(lam > 1e-12)
+            verdict, err = checked(atoms, support, lam[support] / lam[support].sum())
             if verdict is not None:
-                return verdict, t_star, None
-            gap = f"the closest mixture found is {err:.3e} away"
+                return verdict, None
+        else:
+            t_star, lam, y, mu, err = np.inf, None, np.zeros(flat.size), 1.0, np.inf
         cert = certificate(atoms, lam, y, mu)
         if cert.violation > tol:
-            return cert, t_star, None
-        return None, t_star, gap or f"its certificate separates by only {cert.violation:.3e}"
+            return cert, None
+        return None, (f"the LP puts the density t* = {t_star:.3e} from the local polytope, "
+                      f"but at tol {tol:g} its weights are {err:.3e} away ({err - tol:+.1e} "
+                      f"from tol) and its certificate separates by only {cert.violation:.3e} "
+                      f"({cert.violation - tol:+.1e} from tol)")
 
     def stages():
         if len(compatible) < total:
@@ -604,11 +595,10 @@ def _decide_membership(family, d, tol, wrap):
             if verdict is not None:
                 return verdict
     for atoms, rows in stages():
-        verdict, t_star, gap = settle(atoms, rows)
+        verdict, why = settle(atoms, rows)
         if verdict is not None:
             return verdict
-    raise SolverFailed(f"the LP puts the density t* = {t_star:.3e} from the local "
-                       f"polytope, but {gap} (tol {tol:g})")
+    raise SolverFailed(why)
 
 
 def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
@@ -626,13 +616,15 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     density without full support lifts the LP's functional on them to
     every permutation.  The LP over all n! permutations, which decides the
     rest, is posed first on a spanning set of its rows and on all of them
-    only when that settles nothing.  Either way ``violation`` is a
+    only when that settles nothing.  A mixture from an LP is its own
+    weights, returned once they pass the check.  Either way ``violation`` is a
     separating value, not the distance t* of the LP over all permutations
     and all rows (README, "Local membership").  n is bounded only through
     the guard: PreconditionFailed is raised when the search or an LP would
     hold more than 8! permutations.  SolverFailed is raised when no stage
     settles the density or an LP ends without an optimum, as on reaching
-    its iteration limit.
+    its iteration limit; its message gives t*, how far the last LP's
+    weights are from the density and how far its certificate separates.
     """
     if not validate(d, tol):
         raise PreconditionFailed("density must be valid")

@@ -389,7 +389,10 @@ def fix_equivalence_check(sys: QuantumPermutation, tol: float = DEFAULT_TOL) -> 
     pattern = fixed_pattern_basis(sys, tol)
     s3 = list(pattern.basis)
 
-    q1, q2a, q2b, q3 = (linalg.orthonormal_span(s, tol) for s in (s1, s2a, s2b, s3))
+    # s1, s2a and s2b are rows of a nullspace's V*, already orthonormal;
+    # s3 holds disjoint 0/1 indicators, orthonormal once each is scaled
+    q1, q2a, q2b, q3 = (np.reshape(s, (-1, sys.n ** 2)) for s in (s1, s2a, s2b, s3))
+    q3 = q3 / np.sqrt(q3.sum(axis=1, keepdims=True))
     dims = [len(s1), len(s2a), len(s2b), len(s3)]
     rep.add("dimensions_equal", len(set(dims)) == 1,
             float(max(dims) - min(dims)),

@@ -1056,3 +1056,53 @@ for seed in (2, 3):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env, timeout=120).stdout.splitlines()
     assert len(out) == 2 and set(out) <= {"SolverFailed", "Infeasible True", "Mixture True"}
+
+
+# ---------------------------------------------------------------------------
+# Loose tolerance: each stage returns its LP's own weights once they pass
+
+
+@pytest.mark.parametrize("n, m, seed", [(6, 40, 0), (5, 8, 2)])
+def test_loose_tolerance_mixture_is_returned(n, m, seed):
+    # the LP puts these within 0.05 of the polytope (for (6, 40, 0) at
+    # t* = 0.040) and its own weights pass; a least-squares re-fit of them
+    # lands 0.053 away
+    mix = random_permutation_mixture(np.random.default_rng(seed), n, m)
+    d = dn.Density(0.7 * mix.p + 0.3 * cyclic_density(n, n))
+    res = dn.local_bisync_membership(d, 0.05)
+    assert isinstance(res, dn.PermutationMixture)
+    assert np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_mixture_toward_z5_within_tol_is_settled(m, seed):
+    # t* is convex along the segment, so it is at most 0.3 t*(z_5) = 0.045
+    # < tol: the LP over every atom returns weights within tol, and no
+    # input may end in SolverFailed.  A sparse draw may still be settled
+    # first by the certificate lifted from its compatible atoms, since the
+    # density lies outside the polytope; either verdict must pass its check
+    mix = random_permutation_mixture(np.random.default_rng(seed), 5, m)
+    d = dn.Density(0.7 * mix.p + 0.3 * cyclic_density(5, 5))
+    res = dn.local_bisync_membership(d, 0.05)
+    if isinstance(res, dn.Infeasible):
+        on_polytope, at_d = dn.separation_margins(d, res)
+        assert on_polytope <= 0.0 and at_d > 0.05
+    else:
+        assert np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05
+
+
+def test_solver_failed_states_the_weights_and_the_separation(monkeypatch):
+    # an LP whose weights (all on one atom) miss p and whose functional is
+    # zero settles no stage; the message gives both shortfalls.  The
+    # identity misses p(a=0,b=1|x=0,y=1) = 0.7 / 12 by 1 - 0.7 / 12
+    d = dn.Density(0.7 * uniform_permutation_density(4) + 0.3 * cyclic_density(4, 4))
+
+    def unsettled(idx, p, rows=None):
+        return 0.0, np.eye(len(idx))[0], np.zeros(p.size), 0.0
+
+    monkeypatch.setattr(dn, "_membership_lp", unsettled)
+    with pytest.raises(SolverFailed, match=r"at tol 0\.05 its weights are 9\.417e-01 away "
+                                           r"\(\+8\.9e-01 from tol\) and its certificate "
+                                           r"separates by only 0\.000e\+00 \(-5\.0e-02 from tol\)"):
+        dn.local_bisync_membership(d, 0.05)
