@@ -164,16 +164,22 @@ def preserves_sigma(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
 def noncp_spectral_margin(m: ChoiMap) -> float:
     """How far the Choi spectrum sits from the nonnegative reals.
 
-    Zero for PSD Choi matrices.  For a Hermitian Choi matrix this is
-    max(0, -(least eigenvalue)); otherwise it is the largest distance of
-    any (complex) eigenvalue from the set of nonnegative reals.  Any
-    positive value certifies the map is not completely positive.
+    Zero for PSD Choi matrices.  For a Choi matrix Hermitian at
+    ``DEFAULT_TOL`` this is max(0, -(least eigenvalue)); otherwise it is
+    the largest distance of any (complex) eigenvalue from the set of
+    nonnegative reals.  Any positive value certifies the map is not
+    completely positive.  :func:`channel_report` picks the route at its own tol.
     """
-    if is_hermiticity_preserving(m):
-        return float(max(0.0, -_choi_eig(m).eigenvalues[0]))
-    ev = np.linalg.eigvals(m.choi)
-    dist = np.where(ev.real >= 0, np.abs(ev.imag), np.abs(ev))
-    return float(dist.max())
+    return _cp_with_margin(m, DEFAULT_TOL)[1]
+
+
+def _cp_with_margin(m: ChoiMap, tol: float) -> tuple:
+    """(is_cp(m, tol), spectral non-CP margin), both on the route Hermiticity at ``tol`` picks."""
+    if not is_hermiticity_preserving(m, tol):
+        ev = np.linalg.eigvals(m.choi)
+        return False, float(np.where(ev.real >= 0, np.abs(ev.imag), np.abs(ev)).max())
+    least = float(_choi_eig(m).eigenvalues[0])
+    return within(-least, tol, m.choi), max(0.0, -least)
 
 
 def min_choi_eigenvalue(m: ChoiMap) -> float:
@@ -187,8 +193,8 @@ def channel_report(m: ChoiMap, tol: float = DEFAULT_TOL) -> Report:
     """All channel-property checks in a fixed order."""
     rep = Report("map check")
     rep.add("hermiticity_preserving", *_check(m, "hermiticity_preserving", tol))
-    margin = noncp_spectral_margin(m)
-    rep.add("completely_positive", is_cp(m, tol), margin,
+    cp, margin = _cp_with_margin(m, tol)
+    rep.add("completely_positive", cp, margin,
             None if margin == 0 else f"spectral non-CP margin {margin:.6g}")
     square = ("unital", "preserves_all_ones") if m.n == m.k else ()
     for name in ("trace_preserving", *square, "preserves_entry_sum"):

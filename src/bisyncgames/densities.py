@@ -204,10 +204,12 @@ def from_response_function(f, k: int) -> Density:
 
 
 def _convex_weights(weights, count: int, what: str) -> np.ndarray:
-    """The weights as floats; BadWeights unless one per item, nonnegative and summing to one."""
+    """The weights as floats; BadWeights unless one per item, finite, >= 0 and summing to one."""
     w = np.asarray(weights, dtype=float)
     if w.size != count or w.size == 0:
         raise BadWeights(f"need one weight per {what}")
+    if not np.isfinite(w).all():
+        raise BadWeights("weights must be finite")
     if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
         raise BadWeights("weights must be nonnegative and sum to one")
     return w

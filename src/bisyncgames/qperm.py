@@ -56,6 +56,8 @@ class ProjectiveSystem:
             if g.ndim != 4 or g.shape[:2] != (n, k) or g.shape[2] != g.shape[3]:
                 raise BadInput("each block must be an (n, k, d, d) array")
             g.flags.writeable = False
+        if not np.isfinite(weights).all():
+            raise BadInput("block weights must be finite")
         if min(weights) <= 0 or abs(sum(weights) - 1.0) > 1e-9:
             raise BadInput("block weights must be positive and sum to one")
         object.__setattr__(self, "grids", grids)
@@ -183,6 +185,8 @@ def direct_sum(u1: ProjectiveSystem, u2: ProjectiveSystem,
     """Ancilla direct sum with trace weights (w1, w2)."""
     if (u1.n, u1.k) != (u2.n, u2.k):
         raise BadInput("summands must share input and output counts")
+    if not np.isfinite([w1, w2]).all():
+        raise BadInput("weights must be finite")
     if w1 <= 0 or w2 <= 0 or abs(w1 + w2 - 1.0) > 1e-9:
         raise BadInput("weights must be positive and sum to one")
     grids = u1.grids + u2.grids

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,17 +51,24 @@ def _index_tuples(items, shape, what) -> list:
     return [tuple(t) for t in items]
 
 
+@contextmanager
+def _reading(what: str):
+    """Turn a KeyError, TypeError or ValueError raised inside into BadInput("bad <what> JSON")."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadInput(f"bad {what} JSON: {exc}")
+
+
 def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
 def graph_from_dict(d: dict) -> Graph:
-    try:
+    with _reading("graph"):
         n = int(d["n"])
         check_entries(n, n)
         return graph_from_edges(n, _index_tuples(d.get("edges", []), (n, n), "edge"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad graph JSON: {exc}")
 
 
 def game_to_dict(g: Game) -> dict:
@@ -72,14 +80,12 @@ def game_to_dict(g: Game) -> dict:
 
 
 def game_from_dict(d: dict) -> Game:
-    try:
+    with _reading("game"):
         shape = (int(d["nA"]), int(d["nB"]), int(d["kA"]), int(d["kB"]))
         check_entries(*shape)
         lam = np.ones(shape, dtype=bool)
         for t in _index_tuples(d.get("zeros", []), shape, "zero tuple"):
             lam[t] = False
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad game JSON: {exc}")
     return Game(lam)
 
 
@@ -90,11 +96,9 @@ def density_to_dict(d: Density) -> dict:
 
 
 def density_from_dict(d: dict) -> Density:
-    try:
+    with _reading("density"):
         n, k = int(d["n"]), int(d["k"])
         p = np.asarray(d["p"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad density JSON: {exc}")
     if p.shape != (n, n, k, k):
         raise BadInput(f"density tensor shape {p.shape} != {(n, n, k, k)}")
     return Density(p)
@@ -105,11 +109,9 @@ def vect_to_dict(v: VectorStrategy) -> dict:
 
 
 def vect_from_dict(d: dict) -> VectorStrategy:
-    try:
+    with _reading("vect"):
         n, m = int(d["n"]), int(d["m"])
         arr = _load_complex(d["h"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad vect JSON: {exc}")
     if arr.ndim != 3 or (arr.shape[0], arr.shape[2]) != (n, m):
         raise BadInput(f"vector grid shape {arr.shape} disagrees with n = {n}, m = {m}")
     return VectorStrategy(arr)
@@ -122,7 +124,7 @@ def system_to_dict(s: ProjectiveSystem) -> dict:
 
 
 def system_from_dict(d: dict) -> ProjectiveSystem:
-    try:
+    with _reading("system"):
         n, k = int(d["n"]), int(d["k"])
         grids, weights = [], []
         for blk in d["blocks"]:
@@ -132,8 +134,6 @@ def system_from_dict(d: dict) -> ProjectiveSystem:
             if arr.shape != (n, k, dim, dim):
                 raise BadInput(f"block shape {arr.shape} != {(n, k, dim, dim)}")
             grids.append(arr)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad system JSON: {exc}")
     return ProjectiveSystem(tuple(grids), tuple(weights))
 
 
@@ -142,11 +142,9 @@ def choi_to_dict(m: ChoiMap) -> dict:
 
 
 def choi_from_dict(d: dict) -> ChoiMap:
-    try:
+    with _reading("choi"):
         n, k = int(d["n"]), int(d["k"])
         flat = _load_complex(d["choi"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad choi JSON: {exc}")
     if flat.shape != ((n * k) ** 2,):
         raise BadInput("choi entry count does not match n, k")
     return ChoiMap(n, k, flat.reshape(n * k, n * k))
@@ -161,14 +159,12 @@ def mixture_to_dict(m: PermutationMixture) -> dict:
 
 
 def mixture_from_dict(d: dict) -> PermutationMixture:
-    try:
+    with _reading("mixture"):
         n = int(d["n"])
         mix = PermutationMixture(
             np.asarray(d["weights"], dtype=float),
             tuple(tuple(int(v) for v in s) for s in d["permutations"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad mixture JSON: {exc}")
     if mix.n != n:
         raise BadInput(f"mixture permutes {mix.n} points, header says n = {n}")
     return mix
@@ -180,13 +176,11 @@ def matrix_to_dict(a) -> dict:
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
-    try:
+    with _reading("matrix"):
         rows, cols = int(d["rows"]), int(d["cols"])
         if rows < 1 or cols < 1:
             raise BadInput("a matrix needs at least one row and one column")
         arr = _load_complex(d["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"bad matrix JSON: {exc}")
     if arr.shape != (rows, cols):
         raise BadInput("matrix shape disagrees with rows/cols")
     return arr

@@ -238,6 +238,73 @@ def test_density_check_validates_once(cls, z3_path, monkeypatch):
     assert calls == [1e-9]
 
 
+def test_vect_density_verifies_once(tmp_path, monkeypatch):
+    path = tmp_path / "vect.json"
+    serialize.dump_json(serialize.vect_to_dict(vect.permutation_strategy([2, 0, 1])), str(path))
+    calls = count_calls(monkeypatch, vect, ("verify_bisync_vect",))
+    code, rep = run_cli(["vect", "density", "--in", str(path)])
+    assert code == 0
+    assert calls == Counter(verify_bisync_vect=1)
+    assert [c["name"] for c in rep["checks"]][-1] == "density_valid"
+
+
+def test_map_check_and_kraus_take_the_cp_margin_at_their_tol(tmp_path):
+    # Choi asymmetry 1e-8 lies between DEFAULT_TOL = 1e-9 and tol = 1e-6: Hermitian at tol
+    p = dn.from_permutation([0, 2, 1]).p.copy()
+    p[0, 1, 0, 2] += 1e-8
+    path = tmp_path / "asym.json"
+    serialize.dump_json({"n": 3, "k": 3, "p": p.tolist()}, str(path))
+    c = cpmaps.choi_from_tensor(p).choi
+    margin = max(0.0, -np.linalg.eigvalsh((c + c.conj().T) / 2).min())
+    for action in ("check", "kraus"):
+        code, rep = run_cli(["map", action, "--in", str(path), "--tol", "1e-6"])
+        assert code == 0
+        line = {ch["name"]: ch for ch in rep["checks"]}["completely_positive"]
+        assert line["pass"]
+        assert line["max_violation"] == pytest.approx(margin, rel=1e-6), action
+
+
+def _nan_weight_system():
+    s = serialize.system_to_dict(qperm.from_permutation([1, 0]))
+    s["blocks"][0]["weight"] = float("nan")
+    return s
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("qperm verify", _nan_weight_system()),
+    ("qperm density", _nan_weight_system()),
+    ("map mixperm", {"n": 2, "weights": [float("nan")], "permutations": [[1, 0]]}),
+])
+def test_nan_weights_exit_2(verb, payload, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    serialize.dump_json(payload, str(path))   # json writes NaN and reads it back
+    assert cli.run(verb.split() + ["--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+def test_first_unreadable_input_is_reported(tmp_path, z3_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    no_k = tmp_path / "no_k.json"
+    serialize.dump_json({"n": 3, "p": []}, str(no_k))
+    game = tmp_path / "game.json"
+    game.write_text("[")
+
+    assert cli.run(["density", "compose", missing, z3_path]) == 2
+    err = capsys.readouterr().err
+    assert missing in err and z3_path not in err
+
+    assert cli.run(["density", "compose", z3_path, str(no_k)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad density JSON")
+
+    assert cli.run(["density", "perfect", "--in", str(bad), "--game", str(game)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and str(game) not in err
+
+
 def test_deterministic_reports(z3_path):
     def raw(args):
         buf = io.StringIO()
@@ -359,6 +426,9 @@ _MALFORMED = {
          {"n": 1, "k": 1, "blocks": [{"d": 1, "weight": 1.0, "E": [[[[1.0]]]]}]}],
     "mixture shorter than its header":
         ["map", "mixperm", "--in", {"n": 3, "weights": [1.0], "permutations": [[1, 0]]}],
+    "intertwine --h edge with three ends":
+        ["qperm", "intertwine", "--in", _swap_system_rows(2), "--g", {"n": 2, "edges": [[0, 1]]},
+         "--h", {"n": 2, "edges": [[0, 1, 1]]}],
     "matrix without columns":
         ["qperm", "apply", "--in", _swap_system_rows(2),
          {"rows": 2, "cols": 0, "entries": [[], []]}],

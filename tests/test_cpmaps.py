@@ -466,6 +466,26 @@ def test_tp_and_unital_tolerances_scale_with_the_choi_matrix(seed, n, k, size, p
         assert check(m, tol) == passes
 
 
+@pytest.mark.parametrize("tol, asym", [(1e-6, 1e-8), (1e-10, 5e-10)])
+def test_cp_line_takes_its_margin_on_the_route_of_its_own_tol(tol, asym):
+    # the asymmetry lies between tol and DEFAULT_TOL = 1e-9, so the two pick different routes
+    p = dn.from_permutation([0, 2, 1]).p.copy()
+    p[0, 1, 0, 2] += asym
+    m = cpmaps.choi_from_tensor(p)
+    c = m.choi
+    hermitian = tol > asym
+    assert cpmaps.is_hermiticity_preserving(m, tol) == hermitian
+    if hermitian:
+        margin = max(0.0, -np.linalg.eigvalsh((c + c.conj().T) / 2).min())
+    else:
+        ev = np.linalg.eigvals(c)
+        margin = np.where(ev.real >= 0, np.abs(ev.imag), np.abs(ev)).max()
+    line = cpmaps.channel_report(m, tol).check("completely_positive")
+    assert line.passed == cpmaps.is_cp(m, tol) == hermitian
+    assert line.max_violation == pytest.approx(margin, rel=1e-6, abs=1e-15)
+    assert line.witness == f"spectral non-CP margin {line.max_violation:.6g}"
+
+
 def test_apply_map_rejects_a_vector():
     with pytest.raises(ShapeMismatch, match="nonempty 2-D matrix"):
         cpmaps.apply_map(cpmaps.identity_map(2), [1, 2])

@@ -183,7 +183,8 @@ def test_weight_bounds_are_shared():
     for build in builders:
         build(np.array([0.5 + 5e-10, 0.5]))        # sum within 1e-9
         build(np.array([1.0 + 5e-13, -5e-13]))     # least weight within -1e-12
-        for bad in ([0.5 + 2e-9, 0.5], [1.0 + 2e-12, -2e-12]):
+        # NaN fails no comparison, so it needs its own check
+        for bad in ([0.5 + 2e-9, 0.5], [1.0 + 2e-12, -2e-12], [math.nan, 1.0], [1.0, math.nan]):
             with pytest.raises(BadWeights):
                 build(np.array(bad))
 

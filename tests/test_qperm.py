@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -87,8 +88,9 @@ def test_direct_sum_density_is_weighted_mixture():
 
 def test_direct_sum_rejects_bad_weights():
     a = qperm.from_permutation([0, 1])
-    with pytest.raises(BadInput):
-        qperm.direct_sum(a, a, 0.5, 0.6)
+    for w1, w2 in ((0.5, 0.6), (math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(BadInput):
+            qperm.direct_sum(a, a, w1, w2)
 
 
 def test_conjugation_preserves_density(rng):
@@ -272,8 +274,9 @@ def test_conjugation_gives_identical_commutation_subspace(rng):
 def test_tau_weights_must_be_positive():
     g = np.zeros((2, 2, 1, 1), dtype=complex)
     g[0, 0] = g[1, 1] = 1.0
-    with pytest.raises(BadInput):
-        qperm.ProjectiveSystem((g, g), (1.0, 0.0))
+    for weights in ((1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(BadInput):
+            qperm.ProjectiveSystem((g, g), weights)
 
 
 def _broken_block_pair():
