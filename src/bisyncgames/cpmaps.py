@@ -250,7 +250,11 @@ def _kraus_with_residual(m: ChoiMap, tol: float) -> tuple:
     ops = np.conj(np.sqrt(lam[keep]) * eig.eigenvectors[:, keep]).T.reshape(-1, m.n, m.k)
     kraus = KrausSet(tuple(ops) or (np.zeros((m.n, m.k), dtype=np.complex128),))
     worst = norm_max(choi_from_kraus(kraus, m.n, m.k).choi - m.choi)
-    if worst > 1e-7 * max(1.0, norm_max(m.choi)):
+    # the Kraus form is the Hermitian part of C less its dropped eigenpairs,
+    # so it may miss C by C's asymmetry and their eigenvalues, as is_cp allowed
+    allowed = (_DEVIATIONS["hermiticity_preserving"](m) / 2
+               + float(np.abs(lam[~keep]).sum()))
+    if worst > 1e-7 * max(1.0, norm_max(m.choi)) + allowed:
         raise InternalMismatch(f"Kraus form deviates from the map by {worst}")
     return kraus, worst
 

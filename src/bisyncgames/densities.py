@@ -325,9 +325,11 @@ class Infeasible:
     define f(q) = <functional, q> + offset with f <= 0 on every vertex of
     the polytope while f(density) = ``violation`` > tol.  The violation is
     a separating value, not a distance: from the LP over every atom it is
-    that LP's optimum, the sup-norm distance t* when all rows were posed
-    and at most t* when only the spanning rows were, as on the full-support
-    inputs they settle.  A functional lifted from the support-compatible
+    that LP's optimum, the sup-norm distance t* when all rows were posed,
+    as on orbits for a density with a candidate symmetry (0.9 U_7 +
+    0.1 z_7 reads 1/84), and at most t* when only the spanning rows were,
+    as on the other full-support inputs they settle (the same slice read
+    0.00714 that way).  A functional lifted from the support-compatible
     atoms has -M on the zero set Z of the density, and its violation is at
     least t* - M p(Z) for the LP on those atoms (README, "Local
     membership").  ``witness``
@@ -344,7 +346,7 @@ class Infeasible:
     atoms: str = "permutations"
 
 
-def _membership_lp(idx, p, rows=None):
+def _membership_lp(idx, p, rows=None, orbits=None):
     """Minimize the sup-norm slack t over {lam >= 0 : |A lam - p| <= t, sum lam = 1}.
 
     Column j of A is the flattened density of atom j, whose ones sit at
@@ -358,6 +360,15 @@ def _membership_lp(idx, p, rows=None):
     with at most ``_LP_ITERATIONS_PER_SIZE`` simplex iterations per
     variable and constraint; the weights lam are the multipliers of its
     atom constraints.
+
+    ``orbits`` (see :func:`_coordinate_orbits`) labels each coordinate
+    with its orbit under a group of relabelings that fixes p and maps
+    the atoms at ``idx`` onto themselves; None means singleton orbits.
+    The dual is then posed on orbits: one (alpha, beta) per orbit of
+    rows, each of its rows carrying an equal share, and one constraint
+    per class of atoms whose constraints coincide (a union of orbits),
+    whose multiplier is spread evenly over the class.  The LP is
+    invariant, so it has an invariant optimum, and t* is unchanged.
 
     Returns (t*, lam, y, mu), with the duals mapped back onto every
     coordinate: y . col + mu <= 0 for every atom and y . p + mu = t*.
@@ -386,9 +397,10 @@ def _membership_lp(idx, p, rows=None):
     # -1 at the alpha and +1 at the beta of each posed row it hits, and
     # +1 at mu.
     ncols, nrows, per_col = idx.shape[0], rows.size, upper.shape[1]
-    r = np.searchsorted(rows, upper)
-    posed = rows[np.minimum(r, nrows - 1)] == upper
-    posed = np.hstack([posed, posed, np.ones((ncols, 1), dtype=bool)])
+    position = np.full(flat.size, -1)
+    position[rows] = np.arange(nrows)
+    r = position[upper]
+    posed = np.hstack([r >= 0, r >= 0, np.ones((ncols, 1), dtype=bool)])
     indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)])[posed]
     data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), (ncols, 1))[posed]
     indptr = np.append(0, np.cumsum(posed.sum(axis=1)))
@@ -398,21 +410,43 @@ def _membership_lp(idx, p, rows=None):
     bounds = np.zeros((2 * nrows + 2, 2))
     bounds[:, 1] = np.inf
     bounds[-1, 0] = -np.inf
+    if orbits is not None:
+        # a posed row is a coordinate and its mirror, labeled by the lesser
+        # of their orbits; the rows of an orbit share p's lower and upper
+        # entries, so any one of them stands for it
+        _, first, orbit, size = np.unique(np.minimum(orbits[rows], orbits[mates]),
+                                          return_index=True, return_inverse=True,
+                                          return_counts=True)
+        share = scipy.sparse.csr_matrix((1.0 / size[orbit], (np.arange(nrows), orbit)))
+        spread = scipy.sparse.block_diag([share, share, scipy.sparse.identity(2)], "csr")
+        pick = np.concatenate([first, first + nrows, [2 * nrows, 2 * nrows + 1]])
+        c, a_eq, bounds = c[pick], a_eq[:, pick], bounds[pick]
+        # atoms of one orbit score alike, so their constraints coincide bit
+        # for bit; one key of raw bytes per row sorts far faster than axis=0
+        a_ub = (a_ub @ spread).toarray()
+        key = a_ub.view(np.dtype((np.void, a_ub.itemsize * a_ub.shape[1]))).ravel()
+        _, one, atom_class, class_size = np.unique(key, return_index=True,
+                                                   return_inverse=True, return_counts=True)
+        a_ub = a_ub[one]
     res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(ncols), A_eq=a_eq, b_eq=[1.0],
+        c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq, b_eq=[1.0],
         bounds=bounds, method="highs",
-        options={**_LP_OPTIONS, "maxiter": _LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size)},
+        options={**_LP_OPTIONS,
+                 "maxiter": _LP_ITERATIONS_PER_SIZE * (a_ub.shape[0] + 1 + c.size)},
     )
     if res.status != 0:
         raise SolverFailed(f"membership LP failed with HiGHS status {res.status}: "
                            f"{res.message}")
-    alpha, beta, (gamma, mu) = res.x[:nrows], res.x[nrows:2 * nrows], res.x[2 * nrows:]
+    # lam is the multipliers of the atom constraints, which HiGHS may
+    # return some 1e-11 below zero
+    x, lam = res.x, np.maximum(-res.ineqlin.marginals, 0.0)
+    if orbits is not None:
+        x = spread @ x
+        lam = (lam / class_size)[atom_class]
+    alpha, beta, (gamma, mu) = x[:nrows], x[nrows:2 * nrows], x[2 * nrows:]
     y = np.bincount(hi, beta, flat.size) - np.bincount(lo, alpha, flat.size)
     if worst is not None:
         y[worst] = gamma * np.sign(flat[worst])
-    # lam is the multipliers of the atom constraints, which HiGHS may
-    # return some 1e-11 below zero
-    lam = np.maximum(-res.ineqlin.marginals, 0.0)
     return -float(res.fun), lam, y, float(mu)
 
 
@@ -454,6 +488,62 @@ def _spanning_rows(family, n, k):
     spanning = np.sort(rows[piv[:rank] - 1])
     spanning.setflags(write=False)
     return spanning
+
+
+def _relabelings(m):
+    """The adjacent transpositions of 0..m-1, then its cycle (when m > 2), one per row."""
+    moves = np.tile(np.arange(m), (m - 1, 1))
+    i = np.arange(m - 1)
+    moves[i, i] += 1
+    moves[i, i + 1] -= 1
+    return np.vstack([moves, np.roll(np.arange(m), -1)]) if m > 2 else moves
+
+
+@functools.cache
+def _candidate_moves(n, k):
+    """The candidate relabelings of (n, n, k, k) tensors, as flat coordinate maps, one per row.
+
+    The candidates are the adjacent transpositions and the cycle
+    (:func:`_relabelings`) of the inputs, of the outputs, and, when
+    n = k, of both at once.  The row of (pi, tau) sends the coordinate
+    (x, y, a, b) to (pi[x], pi[y], tau[a], tau[b]), which carries the
+    coordinates of atom f onto those of tau . f . pi^-1, so each family
+    of atoms is mapped onto itself.  Found once per (n, k).
+    """
+    ins, outs = _relabelings(n), _relabelings(k)
+    pairs = [(s, np.arange(k)) for s in ins] + [(np.arange(n), t) for t in outs]
+    if n == k:
+        pairs += [(s, s) for s in ins]
+    grid = np.arange(n * n * k * k).reshape(n, n, k, k)
+    moves = np.array([grid[np.ix_(pi, pi, tau, tau)].reshape(-1) for pi, tau in pairs],
+                     dtype=np.intp).reshape(len(pairs), grid.size)
+    moves.setflags(write=False)
+    return moves
+
+
+def _symmetries(p):
+    """The rows of :func:`_candidate_moves` under which ``p`` is exactly unchanged."""
+    flat = p.reshape(-1)
+    moves = _candidate_moves(p.shape[0], p.shape[2])
+    return moves[(flat[moves] == flat).all(axis=1)]
+
+
+def _coordinate_orbits(moves):
+    """Each flat coordinate's orbit under the group the coordinate maps ``moves`` generate.
+
+    The label is a coordinate of the orbit, the same for all of it.
+    Every coordinate takes the least label among itself and its images,
+    then the label of its label, until nothing changes.
+    """
+    label = np.arange(moves.shape[1])
+    while True:
+        new = label
+        for move in moves:
+            new = np.minimum(new, new[move])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def _row_system(idx, p):
@@ -514,13 +604,15 @@ def _decide_membership(family, d, tol, wrap):
     within ``tol`` lies in C.  When C is linearly independent as
     densities, its one least-squares mixture (:func:`_unique_mixture`)
     is tried first, with no LP.  Then the stages, one LP each and in this
-    order: C (only when C is not every atom), every atom on
-    :func:`_spanning_rows`, every atom on all rows.  Beyond the family's
-    guard the search for every atom raises the guard's error.  Each
-    stage checks the LP's own weights (support lam > 1e-12,
-    renormalized), whatever its t*: the stages on C and on all rows pose
-    every distinct row, so weights at t* <= tol already reproduce p
-    within t*, and on a local p the spanning rows carry every other row.
+    order: C (only when C is not every atom), then every atom: on the
+    orbits of the relabelings :func:`_symmetries` keeps, when it keeps
+    any, otherwise on :func:`_spanning_rows` and then on all rows.
+    Beyond the family's guard the search for every atom raises the
+    guard's error.  Each stage checks the LP's own weights (support
+    lam > 1e-12, renormalized), whatever its t*: the stages on C, on
+    orbits and on all rows pose every distinct row, so weights at
+    t* <= tol already reproduce p within t*, and on a local p the
+    spanning rows carry every other row.
 
     The LP's functional (y, mu), <= 0 on the atoms posed, is y itself
     on every atom and lifted on C: with Z the coordinates where
@@ -565,11 +657,11 @@ def _decide_membership(family, d, tol, wrap):
         err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
         return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
 
-    def settle(atoms, rows):
+    def settle(atoms, rows, orbits):
         """One LP on ``atoms`` and both checks: (verdict or None, why neither check passed)."""
         idx = _atom_coordinates(atoms, k)
         if len(atoms):
-            t_star, lam, y, mu = _membership_lp(idx, d.p, rows)
+            t_star, lam, y, mu = _membership_lp(idx, d.p, rows, orbits)
             support = np.flatnonzero(lam > 1e-12)
             verdict, err = checked(atoms, support, lam[support] / lam[support].sum())
             if verdict is not None:
@@ -586,9 +678,13 @@ def _decide_membership(family, d, tol, wrap):
 
     def stages():
         if len(compatible) < total:
-            yield compatible, None
-        yield every(), _spanning_rows(family, n, k)
-        yield every(), None
+            yield compatible, None, None
+        symmetries = _symmetries(d.p)
+        if len(symmetries):
+            yield every(), None, _coordinate_orbits(symmetries)
+        else:
+            yield every(), _spanning_rows(family, n, k), None
+            yield every(), None, None
 
     if len(compatible):
         found = _unique_mixture(_atom_coordinates(compatible, k), d.p)
@@ -596,8 +692,8 @@ def _decide_membership(family, d, tol, wrap):
             verdict, _ = checked(compatible, *found)
             if verdict is not None:
                 return verdict
-    for atoms, rows in stages():
-        verdict, why = settle(atoms, rows)
+    for atoms, rows, orbits in stages():
+        verdict, why = settle(atoms, rows, orbits)
         if verdict is not None:
             return verdict
     raise SolverFailed(why)
@@ -617,11 +713,14 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     when it misses, an LP on them decides.  A nonlocal verdict on a
     density without full support lifts the LP's functional on them to
     every permutation.  The LP over all n! permutations, which decides the
-    rest, is posed first on a spanning set of its rows and on all of them
-    only when that settles nothing.  A mixture from an LP is its own
-    weights, returned once they pass the check.  Either way ``violation`` is a
-    separating value, not the distance t* of the LP over all permutations
-    and all rows (README, "Local membership").  n is bounded only through
+    rest, is posed once on orbits when the density is unchanged by some of
+    a fixed set of relabelings (then ``violation`` is its distance t*, and
+    a mixture spans whole orbits: U_7 returns all 5040 permutations), and
+    otherwise first on a spanning set of its rows and on all of them only
+    when that settles nothing.  A mixture from an LP is its own weights,
+    returned once they pass the check.  Either way ``violation`` is a
+    separating value, not necessarily the distance t* of the LP over all
+    permutations and all rows (README, "Local membership").  n is bounded only through
     the guard: PreconditionFailed is raised when the search or an LP would
     hold more than 8! permutations.  SolverFailed is raised when no stage
     settles the density or an LP ends without an optimum, as on reaching

@@ -284,7 +284,7 @@ def intertwines(sys: QuantumPermutation, g: Graph, h: Graph,
     if not within(dev, tol, *sys.grids):
         return False
     phi_ag = factorizable_apply(sys, ag, tol)
-    m = cpmaps.phi_from_density(induced_density(sys, tol))
+    m = cpmaps.phi_from_density(induced_density(sys, tol), tol)
     adj_ah = cpmaps.apply_map(cpmaps.adjoint_map(m), ah)
     consequence = max(norm_max(phi_ag - ah), norm_max(adj_ah - ag))
     if consequence > 100 * n * tol:
@@ -389,7 +389,7 @@ def fix_equivalence_check(sys: QuantumPermutation, tol: float = DEFAULT_TOL) -> 
     rep = Report("qperm fixpoints")
 
     s1 = commutation_subspace(sys, tol)
-    s2a, s2b = cpmaps._fixed_point_bases(cpmaps.phi_from_density(induced), tol)
+    s2a, s2b = cpmaps._fixed_point_bases(cpmaps.phi_from_density(induced, tol), tol)
     pattern = fixed_pattern_basis(sys, tol)
     s3 = list(pattern.basis)
 

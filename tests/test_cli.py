@@ -264,6 +264,40 @@ def test_map_check_and_kraus_take_the_cp_margin_at_their_tol(tmp_path):
         assert line["max_violation"] == pytest.approx(margin, rel=1e-6), action
 
 
+def test_perturbed_system_is_checked_at_its_tol(tmp_path):
+    # E[0, 0] of the (1 2 0) system raised by 1e-7: a quantum permutation at
+    # tol 1e-6, so the induced map must be built at that tol too
+    sigma = [1, 2, 0]
+    s = serialize.system_to_dict(qperm.from_permutation(sigma))
+    s["blocks"][0]["E"][0][0][0][0][0] += 1e-7
+    spath, gpath, hpath = tmp_path / "sys.json", tmp_path / "g.json", tmp_path / "h.json"
+    serialize.dump_json(s, str(spath))
+    g = games.graph_from_edges(3, [(0, 1)])
+    serialize.dump_json(serialize.graph_to_dict(g), str(gpath))
+    serialize.dump_json(serialize.graph_to_dict(games.relabel_graph(g, sigma)), str(hpath))
+    code, rep = run_cli(["qperm", "fixpoints", "--crosscheck", "--tol", "1e-6",
+                         "--in", str(spath)])
+    assert code == 0
+    assert rep["artifacts"]["dimension"] == 3
+    code, rep = run_cli(["qperm", "intertwine", "--tol", "1e-6", "--in", str(spath),
+                         "--g", str(gpath), "--h", str(hpath)])
+    assert code == 0
+
+
+def test_kraus_form_is_checked_against_what_is_cp_accepts(tmp_path):
+    # 1e-7 noise on (1 2 0): valid, Hermitian and CP at tol 1e-6, and the
+    # Kraus form misses its Choi matrix by about the asymmetry, 2.2e-7
+    p = dn.from_permutation([1, 2, 0]).p + 1e-7 * np.random.default_rng(0).normal(size=(3,) * 4)
+    path = tmp_path / "noisy.json"
+    serialize.dump_json({"n": 3, "k": 3, "p": p.tolist()}, str(path))
+    code, rep = run_cli(["map", "kraus", "--tol", "1e-6", "--in", str(path)])
+    assert code == 0
+    assert [c["pass"] for c in rep["checks"]] == [True, True]
+    code, rep = run_cli(["map", "fixpoints", "--tol", "1e-6", "--in", str(path)])
+    assert code == 0
+    assert rep["artifacts"]["dimension"] == 3
+
+
 def _nan_weight_system():
     s = serialize.system_to_dict(qperm.from_permutation([1, 0]))
     s["blocks"][0]["weight"] = float("nan")

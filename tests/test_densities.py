@@ -1099,7 +1099,7 @@ def test_solver_failed_states_the_weights_and_the_separation(monkeypatch):
     # identity misses p(a=0,b=1|x=0,y=1) = 0.7 / 12 by 1 - 0.7 / 12
     d = dn.Density(0.7 * uniform_permutation_density(4) + 0.3 * cyclic_density(4, 4))
 
-    def unsettled(idx, p, rows=None):
+    def unsettled(idx, p, rows=None, orbits=None):
         return 0.0, np.eye(len(idx))[0], np.zeros(p.size), 0.0
 
     monkeypatch.setattr(dn, "_membership_lp", unsettled)
@@ -1107,3 +1107,190 @@ def test_solver_failed_states_the_weights_and_the_separation(monkeypatch):
                                            r"\(\+8\.9e-01 from tol\) and its certificate "
                                            r"separates by only 0\.000e\+00 \(-5\.0e-02 from tol\)"):
         dn.local_bisync_membership(d, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# Symmetric densities: the LP over every atom posed once, on orbits
+
+
+def candidate_relabelings(n, k):
+    """Reference: the adjacent transpositions and the cycle of the inputs, of the
+    outputs and (n = k) of both, as (pi, tau) pairs, built with lists."""
+    def moves(m):
+        swaps = []
+        for i in range(m - 1):
+            s = list(range(m))
+            s[i], s[i + 1] = s[i + 1], s[i]
+            swaps.append(s)
+        return swaps + ([list(range(1, m)) + [0]] if m > 2 else [])
+    pairs = [(s, list(range(k))) for s in moves(n)] + [(list(range(n)), t) for t in moves(k)]
+    return pairs + ([(s, s) for s in moves(n)] if n == k else [])
+
+
+def coordinate_map(pi, tau, shape):
+    """Reference: the flat index of (pi[x], pi[y], tau[a], tau[b]) at each flat (x, y, a, b)."""
+    return tuple(int(np.ravel_multi_index((pi[x], pi[y], tau[a], tau[b]), shape))
+                 for x, y, a, b in itertools.product(*map(range, shape)))
+
+
+def loop_orbits(size, moves):
+    """Reference: the orbit of each coordinate, grown by applying the maps until closed."""
+    label = -np.ones(size, dtype=int)
+    for start in range(size):
+        if label[start] >= 0:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            c = frontier.pop()
+            for move in moves:
+                if move[c] not in orbit:
+                    orbit.add(move[c])
+                    frontier.append(move[c])
+        label[list(orbit)] = start
+    return label
+
+
+def symmetric_density(family, n, k, s, relabel=None):
+    """U (uniform over the atoms) moved toward z by s; ``relabel`` ("inputs" or
+    "outputs") renames that side by a fixed permutation that breaks the cycle."""
+    if family == "permutations":
+        p = closed_form_uniform(n)
+    else:
+        p = uniform_atom_density(family, n, k)
+    p = (1 - s) * p + s * cyclic_density(n, k)
+    if relabel == "inputs":
+        sigma = np.roll(np.arange(n), 1)[::-1]
+        p = p[np.ix_(sigma, sigma, range(k), range(k))]
+    elif relabel == "outputs":
+        sigma = np.r_[1, 0, 2:k]
+        p = p[np.ix_(range(n), range(n), sigma, sigma)]
+    return dn.Density(p)
+
+
+@pytest.mark.parametrize("family, n, k", [("permutations", 4, 4), ("permutations", 5, 5),
+                                          ("responses", 4, 3), ("responses", 3, 2)])
+@pytest.mark.parametrize("s", [0.0, 0.3])
+@pytest.mark.parametrize("relabel", [None, "inputs", "outputs"])
+def test_kept_generators_are_exact_symmetries(family, n, k, s, relabel):
+    d = symmetric_density(family, n, k, s, relabel)
+    atoms = games.atoms_within(family, n, k)
+    expected = []
+    for pi, tau in candidate_relabelings(n, k):
+        eye_n, eye_k = np.eye(n)[pi], np.eye(k)[tau]
+        moved = np.einsum("xX,yY,aA,bB,XYAB->xyab", eye_n, eye_n, eye_k, eye_k, d.p)
+        if np.array_equal(moved, d.p):
+            expected.append(coordinate_map(pi, tau, d.p.shape))
+            # f -> tau . f . pi^-1 maps the atoms of the family onto themselves
+            images = np.array(tau)[atoms[:, np.argsort(pi)]]
+            assert {tuple(f) for f in images} == {tuple(f) for f in atoms}
+    kept = dn._symmetries(d.p)
+    assert expected and [tuple(move) for move in kept] == expected
+    orbits = dn._coordinate_orbits(kept)
+    reference = loop_orbits(d.p.size, expected)
+    # the same partition, and p is constant on each part
+    assert len(set(zip(orbits, reference))) == len(set(orbits)) == len(set(reference))
+    assert np.array_equal(d.p.reshape(-1), d.p.reshape(-1)[orbits])
+
+
+@pytest.mark.parametrize("family, n", [("permutations", 3), ("permutations", 4),
+                                       ("permutations", 5), ("permutations", 6),
+                                       ("responses", 3), ("responses", 4), ("responses", 5),
+                                       ("responses", 6)])
+@pytest.mark.parametrize("s", [0.0, 2e-7, 0.05, 0.6])
+@pytest.mark.parametrize("relabel", [None, "inputs", "outputs"])
+def test_orbit_lp_verdicts_match_the_full_row_lp(family, n, s, relabel):
+    k = n if family == "permutations" else 3 - n % 2
+    d = symmetric_density(family, n, k, s, relabel)
+    atoms = games.atoms_within(family, n, k)
+    t_star = full_row_lp(atoms, d.p, k)
+    calls = []
+    real = dn._membership_lp
+
+    def spy(idx, p, rows=None, orbits=None):
+        calls.append(orbits is not None)
+        return real(idx, p, rows, orbits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dn, "_membership_lp", spy)
+        if family == "permutations":
+            res, rebuild = dn.local_bisync_membership(d), dn.mixture_density
+        else:
+            res, rebuild = dn.local_sync_membership(d), dn.response_mixture_density
+    # every atom is compatible, so the one LP, if the least-squares step
+    # leaves one to pose, is the one on orbits
+    assert calls in ([], [True])
+    assert isinstance(res, dn.Infeasible) == (t_star > dn.DEFAULT_TOL)
+    if isinstance(res, dn.Infeasible):
+        assert res.violation == pytest.approx(t_star, abs=1e-9)
+        on_polytope, at_d = dn.separation_margins(d, res)
+        assert on_polytope <= 0.0 and at_d == res.violation
+        return
+    assert np.abs(rebuild(res).p - d.p).max() <= dn.DEFAULT_TOL
+    # the weights are spread evenly over whole orbits of atoms: each kept
+    # relabeling moves an atom's coordinates onto those of an atom of equal weight
+    kept = res.permutations if family == "permutations" else res.functions
+    coordinates = [tuple(sorted(c)) for c in dn._atom_coordinates(np.array(kept), k)]
+    weight = dict(zip(coordinates, res.weights))
+    for move in dn._symmetries(d.p):
+        for c, w in weight.items():
+            assert weight.get(tuple(sorted(move[list(c)]))) == pytest.approx(w, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, s", [(4, 0.3), (5, 0.1), (6, 2e-7)])
+def test_orbit_lp_duals_hold_on_every_atom(n, s):
+    d = symmetric_density("permutations", n, n, s)
+    atoms = games.atoms_within("permutations", n, n)
+    idx = dn._atom_coordinates(atoms, n)
+    orbits = dn._coordinate_orbits(dn._symmetries(d.p))
+    t_star, lam, y, mu = dn._membership_lp(idx, d.p, None, orbits)
+    assert t_star == pytest.approx(full_row_lp(atoms, d.p, n), abs=1e-9)
+    assert lam.shape == (len(atoms),) and lam.min() >= 0.0
+    assert lam.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (y[idx].sum(axis=1) + mu).max() <= 1e-9
+    assert float(y @ d.p.reshape(-1)) + mu == pytest.approx(t_star, abs=1e-9)
+    # y is constant on each orbit of coordinates
+    assert np.abs(y - y[orbits]).max() <= 1e-12
+
+
+def test_asymmetric_input_poses_the_stages_it_posed_before(monkeypatch):
+    # the input of test_every_membership_lp_gets_the_one_options_object:
+    # no candidate relabeling holds, so it poses the compatible atoms, every
+    # atom on the spanning rows, and every atom on all rows, as before
+    mix = random_permutation_mixture(np.random.default_rng(0), 4, 3)
+    d = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4))
+    assert not len(dn._symmetries(d.p))
+    shapes, real = [], scipy.optimize.linprog
+
+    def spy(c, A_ub=None, *args, **kwargs):
+        shapes.append(A_ub.shape)
+        return real(c, A_ub, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    res = dn.local_bisync_membership(d, 0.05)
+    assert isinstance(res, dn.PermutationMixture)
+    idx = dn._atom_coordinates(games.atoms_within("permutations", 4, 4), 4)
+    rows = np.unique(dn._upper_coordinates(idx)).size
+    spanning = dn._spanning_rows("permutations", 4, 4).size
+    assert shapes[1:] == [(24, 2 * spanning + 2), (24, 2 * rows + 2)]
+    assert len(shapes) == 3 and shapes[0][0] < 24
+
+
+def test_slice_at_n8_is_decided_on_orbits():
+    # 0.9 U_8 + 0.1 z_8 over all 8! = 40320 permutations: its distance
+    # t* = 3/280, and the certificate re-checks over every atom
+    d = dn.Density(0.9 * closed_form_uniform(8) + 0.1 * cyclic_density(8, 8))
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.Infeasible)
+    assert res.violation == pytest.approx(3 / 280, abs=1e-12)
+    assert dn.separation_margins(d, res) == pytest.approx((0.0, 3 / 280), abs=1e-12)
+
+
+def test_density_at_distance_tol_is_local():
+    # 0.7 U_4 + 0.3 z_4 is 0.05 from U_4, its closest mixture, and the LP over
+    # all rows once put it at t* = 0.05 + 4e-16 and ended in SolverFailed at
+    # tol 0.05; the orbit LP returns U_4's weights, 0.05 away
+    d = dn.Density(0.7 * uniform_permutation_density(4) + 0.3 * cyclic_density(4, 4))
+    res = dn.local_bisync_membership(d, 0.05)
+    assert isinstance(res, dn.PermutationMixture)
+    assert len(res.permutations) == 24
+    assert np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05
