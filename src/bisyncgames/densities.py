@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadInput,
     BadWeights,
     InvalidDensity,
     PreconditionFailed,
@@ -325,17 +326,13 @@ class Infeasible:
     define f(q) = <functional, q> + offset with f <= 0 on every vertex of
     the polytope while f(density) = ``violation`` > tol.  The violation is
     a separating value, not a distance: from the LP over every atom it is
-    that LP's optimum, the sup-norm distance t* when all rows were posed,
-    as on orbits for a density with a candidate symmetry (0.9 U_7 +
-    0.1 z_7 reads 1/84), and at most t* when only the spanning rows were,
-    as on the other full-support inputs they settle (the same slice read
-    0.00714 that way).  A functional lifted from the support-compatible
-    atoms has -M on the zero set Z of the density, and its violation is at
-    least t* - M p(Z) for the LP on those atoms (README, "Local
-    membership").  ``witness``
-    names the density coordinate with the largest residual at the closest
-    mixture, or the size of the zero set when every atom meets it;
-    ``atoms`` records which vertex family the polytope has
+    that LP's optimum, the sup-norm distance t* (0.9 U_7 + 0.1 z_7 reads
+    1/84).  A functional lifted from the support-compatible atoms has -M
+    on the zero set Z of the density, and its violation is at least
+    t* - M p(Z) for the LP on those atoms (README, "Local membership").
+    ``witness`` names the density coordinate with the largest residual at
+    the closest mixture, or the size of the zero set when every atom
+    meets it; ``atoms`` records which vertex family the polytope has
     ("permutations" or "responses").
     """
 
@@ -346,20 +343,19 @@ class Infeasible:
     atoms: str = "permutations"
 
 
-def _membership_lp(idx, p, rows=None, orbits=None):
+def _membership_lp(idx, p, orbits=None):
     """Minimize the sup-norm slack t over {lam >= 0 : |A lam - p| <= t, sum lam = 1}.
 
     Column j of A is the flattened density of atom j, whose ones sit at
     ``idx[j]`` (see :func:`_atom_coordinates`).  Only the distinct rows
-    are posed: a coordinate that no atom hits becomes the lower bound of
-    t, and (x, y, a, b) with its mirror (y, x, b, a) is one two-sided
-    row, so the optimum is that of the LP over all coordinates.
-    ``rows``, sorted x <= y coordinates such as :func:`_spanning_rows`,
-    poses only those: a relaxation, whose optimum is at most t*.  HiGHS
-    is handed the dual (README, "Local membership") at ``_LP_OPTIONS``,
-    with at most ``_LP_ITERATIONS_PER_SIZE`` simplex iterations per
-    variable and constraint; the weights lam are the multipliers of its
-    atom constraints.
+    (:func:`_distinct_rows`) are posed: a coordinate that no atom hits
+    becomes the lower bound of t, and (x, y, a, b) with its mirror
+    (y, x, b, a) is one two-sided row, so the optimum is that of the LP
+    over all coordinates.  HiGHS is handed the dual (README, "Local
+    membership") at ``_LP_OPTIONS``, with at most
+    ``_LP_ITERATIONS_PER_SIZE`` simplex iterations per variable and
+    constraint; the weights lam are the multipliers of its atom
+    constraints.
 
     ``orbits`` (see :func:`_coordinate_orbits`) labels each coordinate
     with its orbit under a group of relabelings that fixes p and maps
@@ -379,14 +375,9 @@ def _membership_lp(idx, p, rows=None, orbits=None):
     import scipy.sparse
 
     flat = p.reshape(-1)
-    mirror = _mirror(p.shape)
-    upper = _upper_coordinates(idx)
+    r, rows, mates = _distinct_rows(idx, p.shape)
     hit = np.zeros(flat.size, dtype=bool)
-    hit[upper] = True
-    if rows is None:
-        rows = np.flatnonzero(hit)
-    hit[mirror[hit]] = True
-    mates = mirror[rows]
+    hit[rows] = hit[mates] = True
     swap = flat[mates] < flat[rows]
     lo, hi = np.where(swap, mates, rows), np.where(swap, rows, mates)
     missed = np.flatnonzero(~hit)
@@ -394,16 +385,11 @@ def _membership_lp(idx, p, rows=None, orbits=None):
     t_floor = 0.0 if worst is None else abs(float(flat[worst]))
 
     # Variables (alpha, beta, gamma, mu).  Atom j's constraint row has
-    # -1 at the alpha and +1 at the beta of each posed row it hits, and
-    # +1 at mu.
-    ncols, nrows, per_col = idx.shape[0], rows.size, upper.shape[1]
-    position = np.full(flat.size, -1)
-    position[rows] = np.arange(nrows)
-    r = position[upper]
-    posed = np.hstack([r >= 0, r >= 0, np.ones((ncols, 1), dtype=bool)])
-    indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)])[posed]
-    data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), (ncols, 1))[posed]
-    indptr = np.append(0, np.cumsum(posed.sum(axis=1)))
+    # -1 at the alpha and +1 at the beta of each row it hits, and +1 at mu.
+    (ncols, per_col), nrows = r.shape, rows.size
+    indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)]).ravel()
+    data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), ncols)
+    indptr = np.arange(ncols + 1) * (2 * per_col + 1)
     a_ub = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ncols, 2 * nrows + 2))
     a_eq = np.append(np.ones(2 * nrows + 1), 0.0)[None, :]
     c = np.concatenate([flat[lo], -flat[hi], [-t_floor, -1.0]])   # linprog minimizes
@@ -450,44 +436,23 @@ def _membership_lp(idx, p, rows=None, orbits=None):
     return -float(res.fun), lam, y, float(mu)
 
 
-def _mirror(shape):
-    """Flat index of (y, x, b, a) for each flat coordinate (x, y, a, b)."""
-    return np.arange(math.prod(shape)).reshape(shape).transpose(1, 0, 3, 2).reshape(-1)
+def _distinct_rows(idx, shape):
+    """The distinct rows that the atoms at ``idx`` (see :func:`_atom_coordinates`) hit.
 
-
-def _upper_coordinates(idx):
-    """The x <= y columns of ``idx`` (see :func:`_atom_coordinates`).
-
-    An atom hits (x, y, a, b) iff it hits the mirror (y, x, b, a), so
-    these meet every row of the membership LP it hits exactly once.
+    An atom hits (x, y, a, b) iff it hits the mirror (y, x, b, a), so a
+    coordinate and its mirror are one row, and the x <= y coordinates of
+    an atom meet each row it hits exactly once.  Returns (r, rows,
+    mates): ``rows`` the sorted x <= y coordinates some atom hits,
+    ``mates`` their mirrors, and r[j] the positions in ``rows`` of atom
+    j's x <= y coordinates.
     """
     n = math.isqrt(idx.shape[1])
-    return idx[:, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))]
-
-
-@functools.cache
-def _spanning_rows(family, n, k):
-    """Sorted x <= y coordinates whose rows of A span every row over every atom.
-
-    B is the 0/1 incidence of the rows (x <= y representatives) and the
-    atoms.  Pivoted Cholesky of the Gram matrix B B^T picks rank(B)
-    linearly independent rows of B, which span all of them; each atom
-    hits one coordinate per input pair, so the all-ones row lies in their
-    span too.  The set depends only on (family, n, k), and is found once.
-    """
-    import scipy.linalg.lapack
-    import scipy.sparse
-
-    upper = _upper_coordinates(_atom_coordinates(atoms_within(family, n, k), k))
-    rows, inverse = np.unique(upper, return_inverse=True)
-    m, per_atom = upper.shape
-    b = scipy.sparse.csr_matrix(
-        (np.ones(upper.size), (inverse.ravel(), np.repeat(np.arange(m), per_atom))),
-        shape=(rows.size, m))
-    _, piv, rank, _ = scipy.linalg.lapack.dpstrf((b @ b.T).toarray())
-    spanning = np.sort(rows[piv[:rank] - 1])
-    spanning.setflags(write=False)
-    return spanning
+    upper = idx[:, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))]
+    hit = np.zeros(math.prod(shape), dtype=bool)
+    hit[upper] = True
+    rows = np.flatnonzero(hit)
+    mirror = np.arange(hit.size).reshape(shape).transpose(1, 0, 3, 2).reshape(-1)
+    return np.cumsum(hit)[upper] - 1, rows, mirror[rows]
 
 
 def _relabelings(m):
@@ -546,8 +511,8 @@ def _coordinate_orbits(moves):
         label = new
 
 
-def _row_system(idx, p):
-    """The equations A lam = p, sum lam = 1 for the atoms at ``idx``, on their distinct rows.
+def _row_system(p, r, rows, mates):
+    """The equations A lam = p, sum lam = 1 on the distinct rows (:func:`_distinct_rows`).
 
     The least-squares system of :func:`_unique_mixture`.  Returns the
     dense (a, b): one row per x <= y coordinate that some atom hits,
@@ -557,13 +522,9 @@ def _row_system(idx, p):
     squared residuals over every coordinate, less a constant.
     """
     flat = p.reshape(-1)
-    upper = _upper_coordinates(idx)
-    rows = np.unique(upper)
-    mates = _mirror(p.shape)[rows]
     scale = np.where(mates == rows, 1.0, math.sqrt(2.0))
-    r = np.searchsorted(rows, upper)
-    a = np.zeros((rows.size + 1, len(idx)))
-    a[r, np.arange(len(idx))[:, None]] = scale[r]
+    a = np.zeros((rows.size + 1, len(r)))
+    a[r, np.arange(len(r))[:, None]] = scale[r]
     a[-1] = 1.0
     return a, np.append(scale * (flat[rows] + flat[mates]) / 2, 1.0)
 
@@ -577,9 +538,10 @@ def _unique_mixture(idx, p):
     reproduces p, and one ``lstsq`` finds it.  Weights <= 1e-14 are
     dropped and the rest renormalized.  Returns (support, weights).
     """
-    if len(idx) > np.count_nonzero(np.bincount(_upper_coordinates(idx).ravel())) + 1:
+    r, rows, mates = _distinct_rows(idx, p.shape)
+    if len(idx) > rows.size + 1:
         return None
-    w, _, rank, _ = np.linalg.lstsq(*_row_system(idx, p), rcond=None)
+    w, _, rank, _ = np.linalg.lstsq(*_row_system(p, r, rows, mates), rcond=None)
     support = np.flatnonzero(w > 1e-14)
     if rank < len(idx) or not support.size:
         return None
@@ -603,16 +565,13 @@ def _decide_membership(family, d, tol, wrap):
     than ``tol`` of ``p``; any atom of weight above 2 tol in a mixture
     within ``tol`` lies in C.  When C is linearly independent as
     densities, its one least-squares mixture (:func:`_unique_mixture`)
-    is tried first, with no LP.  Then the stages, one LP each and in this
-    order: C (only when C is not every atom), then every atom: on the
-    orbits of the relabelings :func:`_symmetries` keeps, when it keeps
-    any, otherwise on :func:`_spanning_rows` and then on all rows.
-    Beyond the family's guard the search for every atom raises the
+    is tried first, with no LP.  Then at most two stages, one LP each and
+    in this order: C (only when C is not every atom), then every atom, on
+    the orbits of the relabelings :func:`_symmetries` keeps when it keeps
+    any.  Beyond the family's guard the search for every atom raises the
     guard's error.  Each stage checks the LP's own weights (support
-    lam > 1e-12, renormalized), whatever its t*: the stages on C, on
-    orbits and on all rows pose every distinct row, so weights at
-    t* <= tol already reproduce p within t*, and on a local p the
-    spanning rows carry every other row.
+    lam > 1e-12, renormalized), whatever its t*: every LP poses every
+    distinct row, so weights at t* <= tol already reproduce p within t*.
 
     The LP's functional (y, mu), <= 0 on the atoms posed, is y itself
     on every atom and lifted on C: with Z the coordinates where
@@ -657,11 +616,11 @@ def _decide_membership(family, d, tol, wrap):
         err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
         return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
 
-    def settle(atoms, rows, orbits):
+    def settle(atoms, orbits):
         """One LP on ``atoms`` and both checks: (verdict or None, why neither check passed)."""
         idx = _atom_coordinates(atoms, k)
         if len(atoms):
-            t_star, lam, y, mu = _membership_lp(idx, d.p, rows, orbits)
+            t_star, lam, y, mu = _membership_lp(idx, d.p, orbits)
             support = np.flatnonzero(lam > 1e-12)
             verdict, err = checked(atoms, support, lam[support] / lam[support].sum())
             if verdict is not None:
@@ -678,13 +637,9 @@ def _decide_membership(family, d, tol, wrap):
 
     def stages():
         if len(compatible) < total:
-            yield compatible, None, None
+            yield compatible, None
         symmetries = _symmetries(d.p)
-        if len(symmetries):
-            yield every(), None, _coordinate_orbits(symmetries)
-        else:
-            yield every(), _spanning_rows(family, n, k), None
-            yield every(), None, None
+        yield every(), _coordinate_orbits(symmetries) if len(symmetries) else None
 
     if len(compatible):
         found = _unique_mixture(_atom_coordinates(compatible, k), d.p)
@@ -692,8 +647,8 @@ def _decide_membership(family, d, tol, wrap):
             verdict, _ = checked(compatible, *found)
             if verdict is not None:
                 return verdict
-    for atoms, rows, orbits in stages():
-        verdict, why = settle(atoms, rows, orbits)
+    for atoms, orbits in stages():
+        verdict, why = settle(atoms, orbits)
         if verdict is not None:
             return verdict
     raise SolverFailed(why)
@@ -713,16 +668,16 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     when it misses, an LP on them decides.  A nonlocal verdict on a
     density without full support lifts the LP's functional on them to
     every permutation.  The LP over all n! permutations, which decides the
-    rest, is posed once on orbits when the density is unchanged by some of
-    a fixed set of relabelings (then ``violation`` is its distance t*, and
-    a mixture spans whole orbits: U_7 returns all 5040 permutations), and
-    otherwise first on a spanning set of its rows and on all of them only
-    when that settles nothing.  A mixture from an LP is its own weights,
-    returned once they pass the check.  Either way ``violation`` is a
-    separating value, not necessarily the distance t* of the LP over all
-    permutations and all rows (README, "Local membership").  n is bounded only through
-    the guard: PreconditionFailed is raised when the search or an LP would
-    hold more than 8! permutations.  SolverFailed is raised when no stage
+    rest, is posed once: on orbits when the density is unchanged by some
+    of a fixed set of relabelings (a mixture then spans whole orbits: U_7
+    returns all 5040 permutations), otherwise on all rows.  A mixture from
+    an LP is its own weights, returned once they pass the check.
+    ``violation`` is a separating value: the distance t* of that LP when
+    it gives the functional, and at least t* - M p(Z) of the LP on the
+    compatible permutations when their functional is lifted (README,
+    "Local membership").  n is bounded only through the guard:
+    PreconditionFailed is raised when the search or an LP would hold more
+    than 8! permutations.  SolverFailed is raised when no stage
     settles the density or an LP ends without an optimum, as on reaching
     its iteration limit; its message gives t*, how far the last LP's
     weights are from the density and how far its certificate separates.
@@ -759,9 +714,19 @@ def separation_margins(d: Density, cert: Infeasible):
     the reported violation.  The atom family (all permutations, or all
     shared response functions) is the one recorded on the certificate.
     Every atom is listed, so beyond 8! permutations PreconditionFailed is
-    raised, and beyond 3000 response functions TooLarge.
+    raised, and beyond 3000 response functions TooLarge.  ShapeMismatch
+    is raised when the functional does not fit the density's coordinates
+    or the density is not one of the family's (n, n, k, k, with k = n for
+    permutations), and BadInput for an unknown family.
     """
+    if cert.atoms not in ATOM_GUARD:
+        raise BadInput(f"unknown atom family {cert.atoms!r}")
+    _require_square(d)
     n, k = d.nA, d.kA
+    if np.shape(cert.functional) != (d.p.size,):
+        raise ShapeMismatch(f"the functional needs one entry per coordinate, {d.p.size}")
+    if cert.atoms == "permutations" and n != k:
+        raise ShapeMismatch("permutation atoms need as many outputs as inputs")
     value_at_d = float(cert.functional @ d.p.reshape(-1) + cert.offset)
     scores = _atom_scores(cert.functional, atoms_within(cert.atoms, n, k), k)
     return float((scores + cert.offset).max()), value_at_d

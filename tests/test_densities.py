@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from bisyncgames import densities as dn
 from bisyncgames import games
 from bisyncgames.errors import (
+    BadInput,
     BadWeights,
     InvalidDensity,
     NotBijective,
@@ -822,7 +824,7 @@ def test_response_mixture_shares_the_range_message():
 
 
 # ---------------------------------------------------------------------------
-# Every atom: the spanning rows first, all rows only when they settle nothing
+# Every atom: one LP on all distinct rows, or on orbits
 
 
 def upper_incidence(family, n, k):
@@ -839,29 +841,20 @@ def upper_incidence(family, n, k):
     return hit, m
 
 
-def rank(m):
-    # integer Gram matrices, so their rank is that of m, read off an SVD
-    return np.linalg.matrix_rank(m @ m.T)
-
-
-RESPONSE_SIZES = [(n, k) for k in range(1, 5) for n in range(1, 12)
-                  if k ** n <= games.ATOM_GUARD["responses"]]
-
-
-@pytest.mark.parametrize("family, n, k",
-                         [("permutations", n, n) for n in range(2, 8)]
-                         + [("responses", n, k) for n, k in RESPONSE_SIZES])
-def test_spanning_rows_span_every_posed_row(family, n, k):
-    rows = dn._spanning_rows(family, n, k)
+@pytest.mark.parametrize("family, n, k", [("permutations", 1, 1), ("permutations", 4, 4),
+                                          ("permutations", 6, 6), ("responses", 1, 3),
+                                          ("responses", 4, 3), ("responses", 6, 2)])
+def test_distinct_rows_match_the_loop_incidence(family, n, k):
+    idx = dn._atom_coordinates(games.atoms_within(family, n, k), k)
+    r, rows, mates = dn._distinct_rows(idx, (n, n, k, k))
     coords, b = upper_incidence(family, n, k)
-    assert np.array_equal(rows, np.unique(rows)) and np.isin(rows, coords).all()
-    spanning = b[np.searchsorted(coords, rows)]
-    ones = np.ones((1, b.shape[1]))
-    # independent, and with the all-ones row they span what all rows span
-    assert rank(spanning) == len(rows)
-    assert rank(np.vstack([spanning, ones])) == rank(np.vstack([b, ones])) == len(rows)
-    if family == "permutations" and n >= 4:
-        assert len(rows) < len(coords)
+    assert np.array_equal(rows, coords)
+    # r[j] lists each row atom j hits once, and no other
+    incidence = np.zeros_like(b)
+    np.add.at(incidence, (r, np.arange(len(idx))[:, None]), 1.0)
+    assert np.array_equal(incidence, b)
+    x, y, a, c = np.unravel_index(rows, (n, n, k, k))
+    assert np.array_equal(mates, np.ravel_multi_index((y, x, c, a), (n, n, k, k)))
 
 
 def uniform_atom_density(family, n, k):
@@ -889,8 +882,8 @@ def test_full_support_verdicts_match_the_full_row_lp(family, base, n, k, seed, s
         w = rng.dirichlet(np.ones(3))
         p = 0.8 * sum(wj * loop_density(f, k) for wj, f in zip(w, atoms)) + 0.2 * p
     d = dn.Density((1 - s) * p + s * cyclic_density(n, k))
-    atoms = games.atoms_within(family, n, k)
-    local = full_row_lp(atoms, d.p, k) <= dn.DEFAULT_TOL
+    t_star = full_row_lp(games.atoms_within(family, n, k), d.p, k)
+    local = t_star <= dn.DEFAULT_TOL
     if family == "permutations":
         res, rebuild = dn.local_bisync_membership(d), dn.mixture_density
     else:
@@ -903,6 +896,8 @@ def test_full_support_verdicts_match_the_full_row_lp(family, base, n, k, seed, s
         assert on_polytope <= 0.0
         assert at_d == pytest.approx(res.violation, abs=1e-12)
         assert res.violation > dn.DEFAULT_TOL
+        # every atom is compatible, so the functional is the every-atom LP's
+        assert res.violation == pytest.approx(t_star, abs=1e-9)
 
 
 @pytest.mark.parametrize("n, s", [(5, 0.1), (6, 0.1), (6, 0.5)])
@@ -926,8 +921,8 @@ def test_lifted_shortfall_skips_the_tight_resolve_on_c(monkeypatch, n, s):
 
 
 def test_every_membership_lp_gets_the_one_options_object(monkeypatch):
-    # a local input that at tol 0.05 poses all three stages: the compatible
-    # atoms, every atom on the spanning rows, and every atom on all rows
+    # a local input that at tol 0.05 poses both stages: the compatible
+    # atoms, then every atom on all rows
     mix = random_permutation_mixture(np.random.default_rng(0), 4, 3)
     d = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4))
     options, real = [], scipy.optimize.linprog
@@ -941,7 +936,7 @@ def test_every_membership_lp_gets_the_one_options_object(monkeypatch):
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05
     # one tolerance setting; only the iteration limit follows the LP's size
-    assert len(options) == 3
+    assert len(options) == 2
     assert all(o == {**dn._LP_OPTIONS, "maxiter": o["maxiter"]} for o in options)
 
 
@@ -1014,7 +1009,7 @@ def test_row_system_matches_the_sum_of_squares_over_every_coordinate(rng):
         atoms = games.atoms_within(family, n, k)[rng.choice(20, size=6, replace=False)]
         idx = dn._atom_coordinates(atoms, k)
         p = rng.random((n, n, k, k))
-        a, b = dn._row_system(idx, p)
+        a, b = dn._row_system(p, *dn._distinct_rows(idx, p.shape))
         dense = np.zeros((p.size + 1, len(atoms)))
         dense[idx, np.arange(len(atoms))[:, None]] = 1.0
         dense[-1] = 1.0
@@ -1099,7 +1094,7 @@ def test_solver_failed_states_the_weights_and_the_separation(monkeypatch):
     # identity misses p(a=0,b=1|x=0,y=1) = 0.7 / 12 by 1 - 0.7 / 12
     d = dn.Density(0.7 * uniform_permutation_density(4) + 0.3 * cyclic_density(4, 4))
 
-    def unsettled(idx, p, rows=None, orbits=None):
+    def unsettled(idx, p, orbits=None):
         return 0.0, np.eye(len(idx))[0], np.zeros(p.size), 0.0
 
     monkeypatch.setattr(dn, "_membership_lp", unsettled)
@@ -1206,9 +1201,9 @@ def test_orbit_lp_verdicts_match_the_full_row_lp(family, n, s, relabel):
     calls = []
     real = dn._membership_lp
 
-    def spy(idx, p, rows=None, orbits=None):
+    def spy(idx, p, orbits=None):
         calls.append(orbits is not None)
-        return real(idx, p, rows, orbits)
+        return real(idx, p, orbits)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dn, "_membership_lp", spy)
@@ -1242,7 +1237,7 @@ def test_orbit_lp_duals_hold_on_every_atom(n, s):
     atoms = games.atoms_within("permutations", n, n)
     idx = dn._atom_coordinates(atoms, n)
     orbits = dn._coordinate_orbits(dn._symmetries(d.p))
-    t_star, lam, y, mu = dn._membership_lp(idx, d.p, None, orbits)
+    t_star, lam, y, mu = dn._membership_lp(idx, d.p, orbits)
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, n), abs=1e-9)
     assert lam.shape == (len(atoms),) and lam.min() >= 0.0
     assert lam.sum() == pytest.approx(1.0, abs=1e-9)
@@ -1254,8 +1249,8 @@ def test_orbit_lp_duals_hold_on_every_atom(n, s):
 
 def test_asymmetric_input_poses_the_stages_it_posed_before(monkeypatch):
     # the input of test_every_membership_lp_gets_the_one_options_object:
-    # no candidate relabeling holds, so it poses the compatible atoms, every
-    # atom on the spanning rows, and every atom on all rows, as before
+    # no candidate relabeling holds, so it poses the compatible atoms, then
+    # every atom once, on all distinct rows
     mix = random_permutation_mixture(np.random.default_rng(0), 4, 3)
     d = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4))
     assert not len(dn._symmetries(d.p))
@@ -1269,10 +1264,43 @@ def test_asymmetric_input_poses_the_stages_it_posed_before(monkeypatch):
     res = dn.local_bisync_membership(d, 0.05)
     assert isinstance(res, dn.PermutationMixture)
     idx = dn._atom_coordinates(games.atoms_within("permutations", 4, 4), 4)
-    rows = np.unique(dn._upper_coordinates(idx)).size
-    spanning = dn._spanning_rows("permutations", 4, 4).size
-    assert shapes[1:] == [(24, 2 * spanning + 2), (24, 2 * rows + 2)]
-    assert len(shapes) == 3 and shapes[0][0] < 24
+    rows = dn._distinct_rows(idx, d.p.shape)[1].size
+    assert len(shapes) == 2 and shapes[0][0] < 24
+    assert shapes[1] == (24, 2 * rows + 2)
+
+
+def test_asymmetric_violation_is_the_all_row_distance():
+    # 0.6 U_4 + 0.3 rho + 0.1 z_4, rho the permutation (0 1 3 2), keeps no
+    # candidate relabeling and is nonlocal: its violation is the distance
+    # t* = 1/60 of the LP over every atom and every row
+    rho = dn.from_permutation((0, 1, 3, 2))
+    d = dn.Density(0.6 * uniform_permutation_density(4) + 0.3 * rho.p
+                   + 0.1 * cyclic_density(4, 4))
+    assert not len(dn._symmetries(d.p))
+    t_star = full_row_lp(games.atoms_within("permutations", 4, 4), d.p, 4)
+    assert t_star == pytest.approx(1 / 60, abs=1e-9)
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.Infeasible)
+    assert res.violation == pytest.approx(t_star, abs=1e-9)
+    on_polytope, at_d = dn.separation_margins(d, res)
+    assert on_polytope <= 0.0 and at_d == res.violation
+
+
+def test_separation_margins_raises_package_errors():
+    d = dn.Density(0.9 * uniform_permutation_density(4) + 0.1 * cyclic_density(4, 4))
+    res = dn.local_bisync_membership(d)
+    assert isinstance(res, dn.Infeasible)
+    # a functional for another shape
+    with pytest.raises(ShapeMismatch):
+        dn.separation_margins(dn.uniform_density(3, 3), res)
+    # permutation atoms on a density with n != k
+    wide = dn.uniform_density(2, 3)
+    cert = dn.Infeasible(1.0, np.zeros(wide.p.size), 0.0, "", "permutations")
+    with pytest.raises(ShapeMismatch):
+        dn.separation_margins(wide, cert)
+    # an atom family the library does not know
+    with pytest.raises(BadInput):
+        dn.separation_margins(d, dataclasses.replace(res, atoms="matchings"))
 
 
 def test_slice_at_n8_is_decided_on_orbits():
