@@ -161,16 +161,16 @@ def preserves_sigma(m: ChoiMap, tol: float = DEFAULT_TOL) -> bool:
     return _check(m, "preserves_entry_sum", tol)[0]
 
 
-def noncp_spectral_margin(m: ChoiMap) -> float:
+def noncp_spectral_margin(m: ChoiMap, tol: float = DEFAULT_TOL) -> float:
     """How far the Choi spectrum sits from the nonnegative reals.
 
-    Zero for PSD Choi matrices.  For a Choi matrix Hermitian at
-    ``DEFAULT_TOL`` this is max(0, -(least eigenvalue)); otherwise it is
-    the largest distance of any (complex) eigenvalue from the set of
-    nonnegative reals.  Any positive value certifies the map is not
-    completely positive.  :func:`channel_report` picks the route at its own tol.
+    Zero for PSD Choi matrices.  For a Choi matrix Hermitian at ``tol``
+    this is max(0, -(least eigenvalue)); otherwise it is the largest
+    distance of any (complex) eigenvalue from the set of nonnegative
+    reals.  Any positive value certifies the map is not completely
+    positive.  :func:`channel_report` at the same ``tol`` takes the same route.
     """
-    return _cp_with_margin(m, DEFAULT_TOL)[1]
+    return _cp_with_margin(m, tol)[1]
 
 
 def _cp_with_margin(m: ChoiMap, tol: float) -> tuple:
@@ -182,9 +182,9 @@ def _cp_with_margin(m: ChoiMap, tol: float) -> tuple:
     return within(-least, tol, m.choi), max(0.0, -least)
 
 
-def min_choi_eigenvalue(m: ChoiMap) -> float:
-    """Least eigenvalue of the Choi matrix (requires Hermiticity)."""
-    if not is_hermiticity_preserving(m):
+def min_choi_eigenvalue(m: ChoiMap, tol: float = DEFAULT_TOL) -> float:
+    """Least eigenvalue of the Choi matrix; NotHermitian unless it is Hermitian at ``tol``."""
+    if not is_hermiticity_preserving(m, tol):
         raise NotHermitian("Choi matrix is not Hermitian; see noncp_spectral_margin")
     return float(_choi_eig(m).eigenvalues[0])
 

@@ -178,17 +178,42 @@ def _atom_coordinates(atoms, k: int) -> np.ndarray:
     return ((xy * k + atoms[:, :, None]) * k + atoms[:, None, :]).reshape(m, n * n)
 
 
+@functools.cache
+def _atom_table(family: str, n: int, k: int):
+    """Every atom of ``family`` on n inputs and k outputs, with its coordinates.
+
+    Returns (atoms, idx): the rows of :func:`atoms_within` unmasked (one
+    atom per row, in lexicographic order) and idx[j], the coordinates of
+    atom j (:func:`_atom_coordinates`).  Listed once per (family, n, k)
+    and kept for the process, so both are read-only and compact: atoms
+    in the least signed integer type that holds 0..k-1, coordinates in
+    int32, which holds the n^2 k^2 <= 9e6 coordinates within the guard.
+    Beyond the family's ``ATOM_GUARD`` the listing raises the guard's error.
+    """
+    atoms = atoms_within(family, n, k)
+    idx = _atom_coordinates(atoms, k).astype(np.int32)
+    atoms = atoms.astype(np.min_scalar_type(-k))
+    atoms.setflags(write=False)
+    idx.setflags(write=False)
+    return atoms, idx
+
+
+def _coordinate_mixture(idx, weights, shape) -> np.ndarray:
+    """The tensor sum_j weights[j] * (density of the atom at idx[j]), of the given shape."""
+    flat = np.bincount(idx.ravel(), weights=np.repeat(weights, idx.shape[1]),
+                       minlength=math.prod(shape))
+    return flat.reshape(shape)
+
+
 def _atom_mixture(atoms, weights, k: int) -> np.ndarray:
     """The tensor sum_j weights[j] * (density of atom j), shape (n, n, k, k)."""
     n = len(atoms[0])
-    flat = np.bincount(_atom_coordinates(atoms, k).ravel(),
-                       weights=np.repeat(weights, n * n), minlength=n * n * k * k)
-    return flat.reshape(n, n, k, k)
+    return _coordinate_mixture(_atom_coordinates(atoms, k), weights, (n, n, k, k))
 
 
-def _atom_scores(functional, atoms, k: int) -> np.ndarray:
-    """<functional, density of atom j> for each row j of ``atoms``, in one float sum each."""
-    return functional[_atom_coordinates(atoms, k)].sum(axis=1)
+def _atom_scores(functional, idx) -> np.ndarray:
+    """<functional, density of atom j> for the atom j at idx[j], in one float sum each."""
+    return functional[idx].sum(axis=1)
 
 
 def from_permutation(sigma) -> Density:
@@ -214,6 +239,19 @@ def _convex_weights(weights, count: int, what: str) -> np.ndarray:
     if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
         raise BadWeights("weights must be nonnegative and sum to one")
     return w
+
+
+def _int_rows(rows):
+    """``rows`` as an (m, n) int array, or None when they differ in length
+    or overflow it, and as a tuple of tuples of ints (int() of each value)."""
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    try:
+        arr = np.array(rows, dtype=np.intp)
+    except (ValueError, OverflowError):
+        arr = None
+    if arr is not None and arr.ndim == 2:
+        return arr, tuple(map(tuple, arr.tolist()))
+    return None, tuple(tuple(int(v) for v in s) for s in rows)
 
 
 def mixture(ds, weights) -> Density:
@@ -278,10 +316,14 @@ class PermutationMixture:
     permutations: tuple
 
     def __post_init__(self):
-        perms = tuple(tuple(int(v) for v in s) for s in self.permutations)
+        arr, perms = _int_rows(self.permutations)
         w = _convex_weights(self.weights, len(perms), "permutation")
-        for s in perms:
-            as_permutation(s, len(perms[0]))
+        n = len(perms[0])
+        # the rows that may be bad, in order; the first bad one raises
+        suspects = (range(len(perms)) if arr is None
+                    else np.flatnonzero((np.sort(arr, axis=1) != np.arange(n)).any(axis=1)))
+        for j in suspects:
+            as_permutation(perms[j], n)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "permutations", perms)
 
@@ -303,13 +345,16 @@ class ResponseMixture:
     k: int
 
     def __post_init__(self):
-        funcs = tuple(tuple(int(v) for v in f) for f in self.functions)
+        arr, funcs = _int_rows(self.functions)
         w = _convex_weights(self.weights, len(funcs), "function")
         n = len(funcs[0])
-        if any(len(f) != n for f in funcs):
+        if arr is None and any(len(f) != n for f in funcs):
             raise ShapeMismatch(f"each function must take the {n} inputs 0..{n - 1}")
-        for f in funcs:
-            check_response_values(f, self.k)
+        # the rows that may be bad, in order; the first bad one raises
+        suspects = (range(len(funcs)) if arr is None
+                    else np.flatnonzero(((arr < 0) | (arr >= self.k)).any(axis=1)))
+        for j in suspects:
+            check_response_values(funcs[j], self.k)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "functions", funcs)
 
@@ -343,12 +388,12 @@ class Infeasible:
     atoms: str = "permutations"
 
 
-def _membership_lp(idx, p, orbits=None):
+def _membership_lp(system, p, orbits=None):
     """Minimize the sup-norm slack t over {lam >= 0 : |A lam - p| <= t, sum lam = 1}.
 
-    Column j of A is the flattened density of atom j, whose ones sit at
-    ``idx[j]`` (see :func:`_atom_coordinates`).  Only the distinct rows
-    (:func:`_distinct_rows`) are posed: a coordinate that no atom hits
+    Column j of A is the flattened density of atom j.  ``system`` is
+    what :func:`_distinct_rows` returns for the atoms, and only those
+    distinct rows are posed: a coordinate that no atom hits
     becomes the lower bound of t, and (x, y, a, b) with its mirror
     (y, x, b, a) is one two-sided row, so the optimum is that of the LP
     over all coordinates.  HiGHS is handed the dual (README, "Local
@@ -359,7 +404,7 @@ def _membership_lp(idx, p, orbits=None):
 
     ``orbits`` (see :func:`_coordinate_orbits`) labels each coordinate
     with its orbit under a group of relabelings that fixes p and maps
-    the atoms at ``idx`` onto themselves; None means singleton orbits.
+    the atoms onto themselves; None means singleton orbits.
     The dual is then posed on orbits: one (alpha, beta) per orbit of
     rows, each of its rows carrying an equal share, and one constraint
     per class of atoms whose constraints coincide (a union of orbits),
@@ -375,7 +420,7 @@ def _membership_lp(idx, p, orbits=None):
     import scipy.sparse
 
     flat = p.reshape(-1)
-    r, rows, mates = _distinct_rows(idx, p.shape)
+    r, rows, mates = system
     hit = np.zeros(flat.size, dtype=bool)
     hit[rows] = hit[mates] = True
     swap = flat[mates] < flat[rows]
@@ -529,28 +574,29 @@ def _row_system(p, r, rows, mates):
     return a, np.append(scale * (flat[rows] + flat[mates]) / 2, 1.0)
 
 
-def _unique_mixture(idx, p):
+def _unique_mixture(system, p):
     """The least-squares mixture of linearly independent atoms, or None when they are dependent.
 
-    The atoms at ``idx`` are independent as densities exactly when the
-    matrix of :func:`_row_system` has full column rank, which needs no
-    more atoms than distinct rows plus one; then at most one mixture
-    reproduces p, and one ``lstsq`` finds it.  Weights <= 1e-14 are
-    dropped and the rest renormalized.  Returns (support, weights).
+    ``system`` is what :func:`_distinct_rows` returns for the atoms.
+    They are independent as densities exactly when the matrix of
+    :func:`_row_system` has full column rank, which needs no more atoms
+    than distinct rows plus one; then at most one mixture reproduces p,
+    and one ``lstsq`` finds it.  Weights <= 1e-14 are dropped and the
+    rest renormalized.  Returns (support, weights).
     """
-    r, rows, mates = _distinct_rows(idx, p.shape)
-    if len(idx) > rows.size + 1:
+    r, rows, mates = system
+    if len(r) > rows.size + 1:
         return None
-    w, _, rank, _ = np.linalg.lstsq(*_row_system(p, r, rows, mates), rcond=None)
+    w, _, rank, _ = np.linalg.lstsq(*_row_system(p, *system), rcond=None)
     support = np.flatnonzero(w > 1e-14)
-    if rank < len(idx) or not support.size:
+    if rank < len(r) or not support.size:
         return None
     return support, w[support] / w[support].sum()
 
 
-def _residual_witness(atoms, lam, p, k, which=""):
-    """The coordinate where the mixture ``lam`` of ``atoms`` misses ``p`` most."""
-    resid = np.abs(_atom_mixture(atoms, lam, k) - p)
+def _residual_witness(idx, lam, p, which=""):
+    """The coordinate where the mixture ``lam`` of the atoms at ``idx`` misses ``p`` most."""
+    resid = np.abs(_coordinate_mixture(idx, lam, p.shape) - p)
     x, y, a, b = np.unravel_index(int(resid.argmax()), p.shape)
     return (f"p(a={a},b={b}|x={x},y={y}): residual {resid.max():.3e} "
             f"at the closest mixture{which}")
@@ -563,15 +609,21 @@ def _decide_membership(family, d, tol, wrap):
 
     The compatible atoms C are those whose coordinates all carry more
     than ``tol`` of ``p``; any atom of weight above 2 tol in a mixture
-    within ``tol`` lies in C.  When C is linearly independent as
-    densities, its one least-squares mixture (:func:`_unique_mixture`)
-    is tried first, with no LP.  Then at most two stages, one LP each and
-    in this order: C (only when C is not every atom), then every atom, on
-    the orbits of the relabelings :func:`_symmetries` keeps when it keeps
-    any.  Beyond the family's guard the search for every atom raises the
-    guard's error.  Each stage checks the LP's own weights (support
-    lam > 1e-12, renormalized), whatever its t*: every LP poses every
-    distinct row, so weights at t* <= tol already reproduce p within t*.
+    within ``tol`` lies in C.  C is searched for under the mask p > tol,
+    unless p > tol wherever an atom can have mass: then, within the
+    guard, C is every atom.  Every atom is read from
+    :func:`_atom_table`, listed once per process; beyond the family's
+    guard the listing raises the guard's error.  When C is linearly
+    independent as densities, its one least-squares mixture
+    (:func:`_unique_mixture`) is tried first, with no LP.  Then at most
+    two stages, one LP each and in this order: C (only when C is not
+    every atom), then every atom, on the orbits of the relabelings
+    :func:`_symmetries` keeps when it keeps any.  Each atom set's
+    coordinates and distinct rows are found once, for its least-squares
+    step, its LP and its checks.  Each stage checks the LP's own weights
+    (support lam > 1e-12, renormalized), whatever its t*: every LP poses
+    every distinct row, so weights at t* <= tol already reproduce p
+    within t*.
 
     The LP's functional (y, mu), <= 0 on the atoms posed, is y itself
     on every atom and lifted on C: with Z the coordinates where
@@ -586,48 +638,49 @@ def _decide_membership(family, d, tol, wrap):
     flat = d.p.reshape(-1)
     zero = flat <= tol
     allowed = ~zero.reshape(d.p.shape)
-    compatible = atoms_within(family, n, k, allowed & allowed.transpose(1, 0, 3, 2))
     total = math.factorial(n) if family == "permutations" else k ** n
     listable = total <= ATOM_GUARD[family]
-    # every atom, listed at most once and only when a sweep or an LP needs it
-    every = functools.cache(
-        lambda: compatible if len(compatible) == total else atoms_within(family, n, k))
+    # no atom hits a forbidden position and some atom hits every other one,
+    # so C is every atom exactly when p > tol off the forbidden positions
+    if listable and allowed[~forbidden_positions(n, k, family == "permutations")].all():
+        compatible, c_idx = _atom_table(family, n, k)
+    else:
+        compatible = atoms_within(family, n, k, allowed & allowed.transpose(1, 0, 3, 2))
+        c_idx = _atom_coordinates(compatible, k)
 
-    def certificate(atoms, lam, y, mu):
-        """The functional (y, mu), <= 0 on ``atoms``, as a certificate over every atom."""
+    def certificate(idx, lam, y, mu):
+        """The functional (y, mu), <= 0 on the atoms at ``idx``, as a certificate on every atom."""
         top = float(np.maximum(y, 0.0).reshape(n * n, k * k).max(axis=1).sum())
-        lift = max(0.0, mu + top) if len(atoms) < total else 0.0
+        lift = max(0.0, mu + top) if len(idx) < total else 0.0
         functional = y - lift * zero
         if listable:
-            offset = -float(_atom_scores(functional, every(), k).max())
+            offset = -float(_atom_scores(functional, _atom_table(family, n, k)[1]).max())
         else:
-            offset = -max(float(_atom_scores(functional, atoms, k).max(initial=-np.inf)),
-                          top - lift)
-        if not len(atoms):
+            offset = -max(float(_atom_scores(functional, idx).max(initial=-np.inf)), top - lift)
+        if not len(idx):
             witness = f"every atom meets the {int(zero.sum())} coordinates where p <= tol"
         else:
-            which = f" of the {len(atoms)} atoms that avoid p <= tol" if len(atoms) < total else ""
-            witness = _residual_witness(atoms, lam, d.p, k, which)
+            which = f" of the {len(idx)} atoms that avoid p <= tol" if len(idx) < total else ""
+            witness = _residual_witness(idx, lam, d.p, which)
         return Infeasible(float(functional @ flat) + offset, functional, offset, witness, family)
 
-    def checked(atoms, support, weights):
+    def checked(atoms, idx, support, weights):
         """(the mixture as a verdict if it is within ``tol`` on every coordinate, its error)."""
         kept = atoms[support]
-        err = float(np.abs(_atom_mixture(kept, weights, k) - d.p).max())
+        err = float(np.abs(_coordinate_mixture(idx[support], weights, d.p.shape) - d.p).max())
         return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
 
-    def settle(atoms, orbits):
+    def settle(atoms, idx, system, orbits):
         """One LP on ``atoms`` and both checks: (verdict or None, why neither check passed)."""
-        idx = _atom_coordinates(atoms, k)
         if len(atoms):
-            t_star, lam, y, mu = _membership_lp(idx, d.p, orbits)
+            t_star, lam, y, mu = _membership_lp(system, d.p, orbits)
             support = np.flatnonzero(lam > 1e-12)
-            verdict, err = checked(atoms, support, lam[support] / lam[support].sum())
+            verdict, err = checked(atoms, idx, support, lam[support] / lam[support].sum())
             if verdict is not None:
                 return verdict, None
         else:
             t_star, lam, y, mu, err = np.inf, None, np.zeros(flat.size), 1.0, np.inf
-        cert = certificate(atoms, lam, y, mu)
+        cert = certificate(idx, lam, y, mu)
         if cert.violation > tol:
             return cert, None
         return None, (f"the LP puts the density t* = {t_star:.3e} from the local polytope, "
@@ -635,20 +688,27 @@ def _decide_membership(family, d, tol, wrap):
                       f"from tol) and its certificate separates by only {cert.violation:.3e} "
                       f"({cert.violation - tol:+.1e} from tol)")
 
+    c_system = _distinct_rows(c_idx, d.p.shape) if len(compatible) else None
+
     def stages():
+        """(atoms, their coordinates, their distinct rows, orbits) of each LP, in order."""
         if len(compatible) < total:
-            yield compatible, None
+            yield compatible, c_idx, c_system, None
+            atoms, idx = _atom_table(family, n, k)
+            system = _distinct_rows(idx, d.p.shape)
+        else:
+            atoms, idx, system = compatible, c_idx, c_system
         symmetries = _symmetries(d.p)
-        yield every(), _coordinate_orbits(symmetries) if len(symmetries) else None
+        yield atoms, idx, system, _coordinate_orbits(symmetries) if len(symmetries) else None
 
     if len(compatible):
-        found = _unique_mixture(_atom_coordinates(compatible, k), d.p)
+        found = _unique_mixture(c_system, d.p)
         if found is not None:
-            verdict, _ = checked(compatible, *found)
+            verdict, _ = checked(compatible, c_idx, *found)
             if verdict is not None:
                 return verdict
-    for atoms, orbits in stages():
-        verdict, why = settle(atoms, orbits)
+    for atoms, idx, system, orbits in stages():
+        verdict, why = settle(atoms, idx, system, orbits)
         if verdict is not None:
             return verdict
     raise SolverFailed(why)
@@ -675,7 +735,9 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     ``violation`` is a separating value: the distance t* of that LP when
     it gives the functional, and at least t* - M p(Z) of the LP on the
     compatible permutations when their functional is lifted (README,
-    "Local membership").  n is bounded only through the guard:
+    "Local membership").  All n! permutations are listed once per
+    process and n, and kept read-only for every later verdict and
+    :func:`separation_margins`.  n is bounded only through the guard:
     PreconditionFailed is raised when the search or an LP would hold more
     than 8! permutations.  SolverFailed is raised when no stage
     settles the density or an LP ends without an optimum, as on reaching
@@ -713,8 +775,10 @@ def separation_margins(d: Density, cert: Infeasible):
     A valid certificate has the first value <= ~0 and the second equal to
     the reported violation.  The atom family (all permutations, or all
     shared response functions) is the one recorded on the certificate.
-    Every atom is listed, so beyond 8! permutations PreconditionFailed is
-    raised, and beyond 3000 response functions TooLarge.  ShapeMismatch
+    It scores every atom, read from the table that membership verdicts
+    read too (listed once per process and size, and kept), so beyond 8!
+    permutations PreconditionFailed is raised, and beyond 3000 response
+    functions TooLarge.  ShapeMismatch
     is raised when the functional does not fit the density's coordinates
     or the density is not one of the family's (n, n, k, k, with k = n for
     permutations), and BadInput for an unknown family.
@@ -728,5 +792,5 @@ def separation_margins(d: Density, cert: Infeasible):
     if cert.atoms == "permutations" and n != k:
         raise ShapeMismatch("permutation atoms need as many outputs as inputs")
     value_at_d = float(cert.functional @ d.p.reshape(-1) + cert.offset)
-    scores = _atom_scores(cert.functional, atoms_within(cert.atoms, n, k), k)
+    scores = _atom_scores(cert.functional, _atom_table(cert.atoms, n, k)[1])
     return float((scores + cert.offset).max()), value_at_d

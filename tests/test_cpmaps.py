@@ -107,6 +107,25 @@ def test_2x2_example_choi_has_pinned_negative_eigenvalue():
     assert cpmaps.min_choi_eigenvalue(m) == pytest.approx(-0.7071067811865476, abs=1e-9)
 
 
+def test_spectral_functions_test_hermiticity_at_the_callers_tol():
+    # the 2x2 example's Choi matrix with one entry moved by 1e-7: Hermitian
+    # at tol 1e-6 but not at the default 1e-9
+    c = cpmaps.phi_from_density(dn.noncp_nonsignalling_example()).choi.copy()
+    c[0, 1] += 1e-7
+    m = cpmaps.ChoiMap(2, 2, c)
+    assert cpmaps.is_hermiticity_preserving(m, 1e-6) and not cpmaps.is_hermiticity_preserving(m)
+    with pytest.raises(NotHermitian):
+        cpmaps.min_choi_eigenvalue(m)
+    least = cpmaps.min_choi_eigenvalue(m, 1e-6)
+    assert least == pytest.approx(-0.7071067811865476, abs=1e-6)
+    for tol in (dn.DEFAULT_TOL, 1e-6):
+        margin = cpmaps.noncp_spectral_margin(m, tol)
+        assert margin == cpmaps.channel_report(m, tol).check("completely_positive").max_violation
+    # at 1e-6 the margin comes from the Hermitian route, as the least eigenvalue does
+    assert cpmaps.noncp_spectral_margin(m, 1e-6) == -least
+    assert cpmaps.noncp_spectral_margin(m) != -least
+
+
 def test_channel_suite_on_quantum_permutation_maps():
     for sys in sample_systems(11, 8):
         m = cpmaps.phi_from_density(qperm.induced_density(sys))

@@ -486,7 +486,7 @@ def test_reduced_lp_matches_full_row_reference(kind, n, k, seed, s):
     # both sides at the same HiGHS options: near the boundary HiGHS's
     # default ones leave t* uncertain by ~1e-8
     idx = dn._atom_coordinates(atoms, kk)
-    t_star, lam, y, mu = dn._membership_lp(idx, d.p)
+    t_star, lam, y, mu = dn._membership_lp(dn._distinct_rows(idx, d.p.shape), d.p)
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, kk), abs=1e-9)
     # the weights and the functional returned by the dual posing
     assert lam.min() >= -1e-12
@@ -553,7 +553,7 @@ def test_sparse_local_mixture_poses_only_candidate_atoms(monkeypatch):
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
     atoms = games.atoms_within("permutations", 7, 7)
-    dn._membership_lp(dn._atom_coordinates(atoms, 7), d.p)
+    dn._membership_lp(dn._distinct_rows(dn._atom_coordinates(atoms, 7), d.p.shape), d.p)
     (cand_atoms, cand_vars), (all_atoms, all_vars) = calls
     assert all_atoms == math.factorial(7)
     assert cand_atoms == 24
@@ -994,11 +994,13 @@ def test_least_squares_step_skips_dependent_atoms(monkeypatch):
     for n, tried in [(4, 1), (6, 0)]:
         solves.clear()
         idx = dn._atom_coordinates(games.atoms_within("permutations", n, n), n)
-        assert dn._unique_mixture(idx, uniform_permutation_density(n)) is None
+        p = uniform_permutation_density(n)
+        assert dn._unique_mixture(dn._distinct_rows(idx, p.shape), p) is None
         assert len(solves) == tried
     atom = games.atoms_within("permutations", 6, 6)[[7]]
-    support, weights = dn._unique_mixture(dn._atom_coordinates(atom, 6),
-                                          dn.from_permutation(atom[0]).p)
+    p = dn.from_permutation(atom[0]).p
+    system = dn._distinct_rows(dn._atom_coordinates(atom, 6), p.shape)
+    support, weights = dn._unique_mixture(system, p)
     assert support.tolist() == [0] and weights.tolist() == [1.0]
 
 
@@ -1094,8 +1096,8 @@ def test_solver_failed_states_the_weights_and_the_separation(monkeypatch):
     # identity misses p(a=0,b=1|x=0,y=1) = 0.7 / 12 by 1 - 0.7 / 12
     d = dn.Density(0.7 * uniform_permutation_density(4) + 0.3 * cyclic_density(4, 4))
 
-    def unsettled(idx, p, orbits=None):
-        return 0.0, np.eye(len(idx))[0], np.zeros(p.size), 0.0
+    def unsettled(system, p, orbits=None):
+        return 0.0, np.eye(len(system[0]))[0], np.zeros(p.size), 0.0
 
     monkeypatch.setattr(dn, "_membership_lp", unsettled)
     with pytest.raises(SolverFailed, match=r"at tol 0\.05 its weights are 9\.417e-01 away "
@@ -1201,9 +1203,9 @@ def test_orbit_lp_verdicts_match_the_full_row_lp(family, n, s, relabel):
     calls = []
     real = dn._membership_lp
 
-    def spy(idx, p, orbits=None):
+    def spy(system, p, orbits=None):
         calls.append(orbits is not None)
-        return real(idx, p, orbits)
+        return real(system, p, orbits)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dn, "_membership_lp", spy)
@@ -1237,7 +1239,7 @@ def test_orbit_lp_duals_hold_on_every_atom(n, s):
     atoms = games.atoms_within("permutations", n, n)
     idx = dn._atom_coordinates(atoms, n)
     orbits = dn._coordinate_orbits(dn._symmetries(d.p))
-    t_star, lam, y, mu = dn._membership_lp(idx, d.p, orbits)
+    t_star, lam, y, mu = dn._membership_lp(dn._distinct_rows(idx, d.p.shape), d.p, orbits)
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, n), abs=1e-9)
     assert lam.shape == (len(atoms),) and lam.min() >= 0.0
     assert lam.sum() == pytest.approx(1.0, abs=1e-9)
@@ -1322,3 +1324,63 @@ def test_density_at_distance_tol_is_local():
     assert isinstance(res, dn.PermutationMixture)
     assert len(res.permutations) == 24
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# The atom table: every atom of a (family, n, k) listed once per process
+
+
+@pytest.mark.parametrize("family, n, k", [("permutations", 5, 5), ("responses", 4, 3)])
+def test_atom_table_is_read_only_and_listed_once(family, n, k):
+    atoms, idx = dn._atom_table(family, n, k)
+    again = dn._atom_table(family, n, k)
+    assert again[0] is atoms and again[1] is idx
+    listed = games.atoms_within(family, n, k)
+    assert np.array_equal(atoms, listed)
+    assert np.array_equal(idx, dn._atom_coordinates(listed, k))
+    assert atoms.itemsize == 1 and idx.dtype == np.int32
+    for table in (atoms, idx):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+_TABLE_SIZES = ([("permutations", n, n) for n in range(1, 7)]
+                + [("responses", n, 3) for n in range(1, 7)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.sampled_from(_TABLE_SIZES), seed=st.integers(0, 2 ** 32 - 1),
+       keep=st.sampled_from([0.3, 0.8, 0.97, 1.0]))
+def test_compatible_atoms_from_the_table_match_the_search(size, seed, keep):
+    family, n, k = size
+    allowed = np.random.default_rng(seed).random((n, n, k, k)) < keep
+    allowed &= allowed.transpose(1, 0, 3, 2)
+    atoms, idx = dn._atom_table(family, n, k)
+    from_table = atoms[allowed.reshape(-1)[idx].all(axis=1)]
+    assert np.array_equal(from_table, games.atoms_within(family, n, k, allowed))
+    # the rule _decide_membership takes the table itself by: no atom hits a
+    # forbidden position, so a mask that holds off them keeps every atom
+    if allowed[~games.forbidden_positions(n, k, family == "permutations")].all():
+        assert len(from_table) == len(atoms)
+
+
+def test_returned_arrays_do_not_share_the_atom_table():
+    table = [t.copy() for t in dn._atom_table("permutations", 5, 5)]
+    mix = dn.local_bisync_membership(dn.Density(uniform_permutation_density(5)))
+    assert isinstance(mix, dn.PermutationMixture) and len(mix.permutations) == 120
+    d = dn.Density(0.9 * uniform_permutation_density(5) + 0.1 * cyclic_density(5, 5))
+    cert = dn.local_bisync_membership(d)
+    assert isinstance(cert, dn.Infeasible)
+    mix.weights[:] = 0.0
+    cert.functional[:] = 0.0
+    for kept, now in zip(table, dn._atom_table("permutations", 5, 5)):
+        assert np.array_equal(kept, now)
+
+
+def test_atom_table_beyond_the_guard_raises_the_guards_error():
+    # separation_margins and the every-atom stage read the table, so they
+    # keep the errors of the search (test_separation_margins_is_guarded_without_listing)
+    with pytest.raises(PreconditionFailed, match="exceed the guard of 40320"):
+        dn._atom_table("permutations", 9, 9)
+    with pytest.raises(TooLarge, match="exceed the guard of 3000"):
+        dn._atom_table("responses", 8, 3)
