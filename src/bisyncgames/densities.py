@@ -278,15 +278,8 @@ def z3_counterexample() -> Density:
     a - b = 1 (mod 3) uniformly.  Its flip is not a density and its
     induced map is not even positive.
     """
-    p = np.zeros((3, 3, 3, 3))
-    for x in range(3):
-        for y in range(3):
-            for a in range(3):
-                for b in range(3):
-                    if x == y:
-                        p[x, y, a, b] = 1.0 / 3.0 if a == b else 0.0
-                    else:
-                        p[x, y, a, b] = 1.0 / 3.0 if (a - b) % 3 == 1 else 0.0
+    x, y, a, b = np.indices((3, 3, 3, 3))
+    p = np.where(x == y, a == b, (a - b) % 3 == 1) / 3.0
     return Density(p)
 
 
@@ -298,13 +291,8 @@ def noncp_nonsignalling_example() -> Density:
     Note the anticorrelated pair sits on the diagonal, so the density is
     not synchronous.
     """
-    p = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            if (x, y) != (1, 1):
-                p[x, y, 0, 0] = p[x, y, 1, 1] = 0.5
-            else:
-                p[x, y, 0, 1] = p[x, y, 1, 0] = 0.5
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    p = np.where((x == 1) & (y == 1), a != b, a == b) / 2.0
     return Density(p)
 
 
@@ -371,9 +359,10 @@ class Infeasible:
     define f(q) = <functional, q> + offset with f <= 0 on every vertex of
     the polytope while f(density) = ``violation`` > tol.  The violation is
     a separating value, not a distance: from the LP over every atom it is
-    that LP's optimum, the sup-norm distance t* (0.9 U_7 + 0.1 z_7 reads
-    1/84).  A functional lifted from the support-compatible atoms has -M
-    on the zero set Z of the density, and its violation is at least
+    that LP's optimum, the sup-norm distance t*, which posing the LP on
+    orbits keeps (0.9 U_7 + 0.1 z_7 reads 1/84).  A functional lifted
+    from the support-compatible atoms has -M on the zero set Z of the
+    density, and its violation is at least
     t* - M p(Z) for the LP on those atoms (README, "Local membership").
     ``witness`` names the density coordinate with the largest residual at
     the closest mixture, or the size of the zero set when every atom
@@ -388,7 +377,7 @@ class Infeasible:
     atoms: str = "permutations"
 
 
-def _membership_lp(system, p, orbits=None):
+def _membership_lp(system, p):
     """Minimize the sup-norm slack t over {lam >= 0 : |A lam - p| <= t, sum lam = 1}.
 
     Column j of A is the flattened density of atom j.  ``system`` is
@@ -402,14 +391,18 @@ def _membership_lp(system, p, orbits=None):
     constraint; the weights lam are the multipliers of its atom
     constraints.
 
-    ``orbits`` (see :func:`_coordinate_orbits`) labels each coordinate
-    with its orbit under a group of relabelings that fixes p and maps
-    the atoms onto themselves; None means singleton orbits.
-    The dual is then posed on orbits: one (alpha, beta) per orbit of
-    rows, each of its rows carrying an equal share, and one constraint
-    per class of atoms whose constraints coincide (a union of orbits),
-    whose multiplier is spread evenly over the class.  The LP is
-    invariant, so it has an invariant optimum, and t* is unchanged.
+    The dual is posed on the orbits of the relabelings that fix p
+    (:func:`_symmetries`, :func:`_coordinate_orbits`; with none kept
+    every orbit is one coordinate).  They map the atoms onto themselves,
+    so the LP is invariant, has an invariant optimum, and t* is
+    unchanged.  There is one (alpha, beta) per orbit of rows, each of its
+    rows carrying an equal share, and one constraint per class of atoms:
+    the atoms whose rows fall in the same orbits, counted with
+    multiplicity, which are exactly those with equal constraints, and a
+    union of orbits of atoms.  Classes are numbered by first occurrence,
+    and each class's multiplier is spread evenly over its atoms.  With no
+    relabeling kept, every atom is its own class, and the LP is the one
+    on all rows, atom by atom, bit for bit.
 
     Returns (t*, lam, y, mu), with the duals mapped back onto every
     coordinate: y . col + mu <= 0 for every atom and y . p + mu = t*.
@@ -429,56 +422,61 @@ def _membership_lp(system, p, orbits=None):
     worst = missed[np.abs(flat[missed]).argmax()] if missed.size else None
     t_floor = 0.0 if worst is None else abs(float(flat[worst]))
 
-    # Variables (alpha, beta, gamma, mu).  Atom j's constraint row has
-    # -1 at the alpha and +1 at the beta of each row it hits, and +1 at mu.
-    (ncols, per_col), nrows = r.shape, rows.size
-    indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)]).ravel()
-    data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), ncols)
+    # a posed row is a coordinate and its mirror, labeled by the lesser of
+    # their orbits; the rows of an orbit share p's lower and upper entries,
+    # so its first row stands for it
+    coordinate_orbit = _coordinate_orbits(_symmetries(p))
+    _, first_row, orbit, size = np.unique(
+        np.minimum(coordinate_orbit[rows], coordinate_orbit[mates]),
+        return_index=True, return_inverse=True, return_counts=True)
+    m = size.size
+    # an atom's key is the orbits of its rows, sorted, and a class is the
+    # atoms of one key, numbered in the order of their first atoms (lexsort
+    # is stable, so each run of equal keys starts at its first atom; an
+    # unsigned difference wraps, but is nonzero exactly where keys differ)
+    key = np.sort(orbit.astype(np.min_scalar_type(m))[r], axis=1)
+    order = np.lexsort(key.T[::-1])
+    new = np.append(True, np.diff(key[order], axis=0).any(axis=1))
+    head = np.empty(order.size, dtype=np.intp)
+    head[order] = order[new][np.cumsum(new) - 1]
+    first_atom = np.sort(order[new])
+    atom_class = np.searchsorted(first_atom, head)
+    class_size = np.bincount(atom_class)
+    first_key = key[first_atom]
+
+    # Variables (alpha, beta, gamma, mu), one alpha and beta per orbit.  A
+    # class's constraint row has -1/size at the alpha and +1/size at the
+    # beta of the orbit of each row its first atom hits, and +1 at mu.
+    ncols, per_col = first_key.shape
+    indices = np.hstack([first_key, first_key + np.intp(m),
+                         np.full((ncols, 1), 2 * m + 1)]).ravel()
+    data = np.hstack([(-1.0 / size)[first_key], (1.0 / size)[first_key],
+                      np.ones((ncols, 1))]).ravel()
     indptr = np.arange(ncols + 1) * (2 * per_col + 1)
-    a_ub = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ncols, 2 * nrows + 2))
-    a_eq = np.append(np.ones(2 * nrows + 1), 0.0)[None, :]
-    c = np.concatenate([flat[lo], -flat[hi], [-t_floor, -1.0]])   # linprog minimizes
-    bounds = np.zeros((2 * nrows + 2, 2))
+    a_ub = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ncols, 2 * m + 2))
+    a_ub.sum_duplicates()
+    a_eq = np.append(np.ones(2 * m + 1), 0.0)[None, :]
+    # linprog minimizes
+    c = np.concatenate([flat[lo[first_row]], -flat[hi[first_row]], [-t_floor, -1.0]])
+    bounds = np.zeros((2 * m + 2, 2))
     bounds[:, 1] = np.inf
     bounds[-1, 0] = -np.inf
-    if orbits is not None:
-        # a posed row is a coordinate and its mirror, labeled by the lesser
-        # of their orbits; the rows of an orbit share p's lower and upper
-        # entries, so any one of them stands for it
-        _, first, orbit, size = np.unique(np.minimum(orbits[rows], orbits[mates]),
-                                          return_index=True, return_inverse=True,
-                                          return_counts=True)
-        share = scipy.sparse.csr_matrix((1.0 / size[orbit], (np.arange(nrows), orbit)))
-        spread = scipy.sparse.block_diag([share, share, scipy.sparse.identity(2)], "csr")
-        pick = np.concatenate([first, first + nrows, [2 * nrows, 2 * nrows + 1]])
-        c, a_eq, bounds = c[pick], a_eq[:, pick], bounds[pick]
-        # atoms of one orbit score alike, so their constraints coincide bit
-        # for bit; one key of raw bytes per row sorts far faster than axis=0
-        a_ub = (a_ub @ spread).toarray()
-        key = a_ub.view(np.dtype((np.void, a_ub.itemsize * a_ub.shape[1]))).ravel()
-        _, one, atom_class, class_size = np.unique(key, return_index=True,
-                                                   return_inverse=True, return_counts=True)
-        a_ub = a_ub[one]
     res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq, b_eq=[1.0],
+        c, A_ub=a_ub, b_ub=np.zeros(ncols), A_eq=a_eq, b_eq=[1.0],
         bounds=bounds, method="highs",
-        options={**_LP_OPTIONS,
-                 "maxiter": _LP_ITERATIONS_PER_SIZE * (a_ub.shape[0] + 1 + c.size)},
+        options={**_LP_OPTIONS, "maxiter": _LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size)},
     )
     if res.status != 0:
         raise SolverFailed(f"membership LP failed with HiGHS status {res.status}: "
                            f"{res.message}")
-    # lam is the multipliers of the atom constraints, which HiGHS may
+    # lam is the multipliers of the class constraints, which HiGHS may
     # return some 1e-11 below zero
     x, lam = res.x, np.maximum(-res.ineqlin.marginals, 0.0)
-    if orbits is not None:
-        x = spread @ x
-        lam = (lam / class_size)[atom_class]
-    alpha, beta, (gamma, mu) = x[:nrows], x[nrows:2 * nrows], x[2 * nrows:]
+    alpha, beta, (gamma, mu) = (x[:m] / size)[orbit], (x[m:2 * m] / size)[orbit], x[2 * m:]
     y = np.bincount(hi, beta, flat.size) - np.bincount(lo, alpha, flat.size)
     if worst is not None:
         y[worst] = gamma * np.sign(flat[worst])
-    return -float(res.fun), lam, y, float(mu)
+    return -float(res.fun), (lam / class_size)[atom_class], y, float(mu)
 
 
 def _distinct_rows(idx, shape):
@@ -617,8 +615,9 @@ def _decide_membership(family, d, tol, wrap):
     independent as densities, its one least-squares mixture
     (:func:`_unique_mixture`) is tried first, with no LP.  Then at most
     two stages, one LP each and in this order: C (only when C is not
-    every atom), then every atom, on the orbits of the relabelings
-    :func:`_symmetries` keeps when it keeps any.  Each atom set's
+    every atom), then every atom.  Each LP is posed on the orbits of
+    the relabelings that fix p (:func:`_membership_lp`), which fix the
+    mask p > tol and so map C onto itself.  Each atom set's
     coordinates and distinct rows are found once, for its least-squares
     step, its LP and its checks.  Each stage checks the LP's own weights
     (support lam > 1e-12, renormalized), whatever its t*: every LP poses
@@ -670,10 +669,10 @@ def _decide_membership(family, d, tol, wrap):
         err = float(np.abs(_coordinate_mixture(idx[support], weights, d.p.shape) - d.p).max())
         return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
 
-    def settle(atoms, idx, system, orbits):
+    def settle(atoms, idx, system):
         """One LP on ``atoms`` and both checks: (verdict or None, why neither check passed)."""
         if len(atoms):
-            t_star, lam, y, mu = _membership_lp(system, d.p, orbits)
+            t_star, lam, y, mu = _membership_lp(system, d.p)
             support = np.flatnonzero(lam > 1e-12)
             verdict, err = checked(atoms, idx, support, lam[support] / lam[support].sum())
             if verdict is not None:
@@ -691,15 +690,11 @@ def _decide_membership(family, d, tol, wrap):
     c_system = _distinct_rows(c_idx, d.p.shape) if len(compatible) else None
 
     def stages():
-        """(atoms, their coordinates, their distinct rows, orbits) of each LP, in order."""
+        """(atoms, their coordinates, their distinct rows) of each LP, in order."""
+        yield compatible, c_idx, c_system
         if len(compatible) < total:
-            yield compatible, c_idx, c_system, None
             atoms, idx = _atom_table(family, n, k)
-            system = _distinct_rows(idx, d.p.shape)
-        else:
-            atoms, idx, system = compatible, c_idx, c_system
-        symmetries = _symmetries(d.p)
-        yield atoms, idx, system, _coordinate_orbits(symmetries) if len(symmetries) else None
+            yield atoms, idx, _distinct_rows(idx, d.p.shape)
 
     if len(compatible):
         found = _unique_mixture(c_system, d.p)
@@ -707,8 +702,8 @@ def _decide_membership(family, d, tol, wrap):
             verdict, _ = checked(compatible, c_idx, *found)
             if verdict is not None:
                 return verdict
-    for atoms, idx, system, orbits in stages():
-        verdict, why = settle(atoms, idx, system, orbits)
+    for atoms, idx, system in stages():
+        verdict, why = settle(atoms, idx, system)
         if verdict is not None:
             return verdict
     raise SolverFailed(why)
@@ -727,11 +722,13 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     LP and no scipy, tries their only candidate mixture; otherwise, or
     when it misses, an LP on them decides.  A nonlocal verdict on a
     density without full support lifts the LP's functional on them to
-    every permutation.  The LP over all n! permutations, which decides the
-    rest, is posed once: on orbits when the density is unchanged by some
-    of a fixed set of relabelings (a mixture then spans whole orbits: U_7
-    returns all 5040 permutations), otherwise on all rows.  A mixture from
-    an LP is its own weights, returned once they pass the check.
+    every permutation.  The LP over all n! permutations decides the rest.
+    Every LP is posed on the orbits of the relabelings, of a fixed set,
+    that leave the density unchanged, with one constraint per class of
+    permutations read from integer orbit keys; with none kept that is
+    the LP on all rows.  A mixture from an LP spans whole orbits (U_7
+    returns all 5040 permutations) and is its own weights, returned
+    once they pass the check.
     ``violation`` is a separating value: the distance t* of that LP when
     it gives the functional, and at least t* - M p(Z) of the LP on the
     compatible permutations when their functional is lifted (README,

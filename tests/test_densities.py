@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_z3_counterexample_classification():
     assert dn.is_nonsignalling(d)
     assert dn.is_bisynchronous_density(d)
     assert d.p[0, 1, 2, 1] == pytest.approx(1 / 3)  # 2 - 1 = 1 mod 3
+
+
+def test_example_densities_match_their_literal_tensors():
+    # the tensors written out entry by entry, to the bit
+    t = 1.0 / 3.0
+    equal, shift = [[t, 0, 0], [0, t, 0], [0, 0, t]], [[0, 0, t], [t, 0, 0], [0, t, 0]]
+    z3 = np.array([[equal, shift, shift], [shift, equal, shift], [shift, shift, equal]])
+    same, crossed = [[0.5, 0], [0, 0.5]], [[0, 0.5], [0.5, 0]]
+    noncp = np.array([[same, same], [same, crossed]])
+    for d, ref in [(dn.z3_counterexample(), z3), (dn.noncp_nonsignalling_example(), noncp)]:
+        assert np.array_equal(d.p, ref)
+        assert d.p.dtype == ref.dtype and d.p.tobytes() == ref.tobytes()
 
 
 def test_z3_flip_is_not_a_density():
@@ -547,16 +560,19 @@ def test_sparse_local_mixture_poses_only_candidate_atoms(monkeypatch):
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
     assert calls == []
-    # the 24 permutations of 4 of the 7 points are not: the LP poses them alone
+    # the 24 permutations of 4 of the 7 points are not: the LP poses them
+    # alone, and as the relabelings of those 4 inputs or outputs fix p, as
+    # one class of 24 atoms
     d = block_uniform(7, 4)
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.PermutationMixture)
+    assert len(res.permutations) == 24
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
     atoms = games.atoms_within("permutations", 7, 7)
     dn._membership_lp(dn._distinct_rows(dn._atom_coordinates(atoms, 7), d.p.shape), d.p)
     (cand_atoms, cand_vars), (all_atoms, all_vars) = calls
-    assert all_atoms == math.factorial(7)
-    assert cand_atoms == 24
+    assert cand_atoms == 1
+    assert cand_atoms < all_atoms < math.factorial(7)
     assert cand_vars < all_vars
 
 
@@ -824,7 +840,7 @@ def test_response_mixture_shares_the_range_message():
 
 
 # ---------------------------------------------------------------------------
-# Every atom: one LP on all distinct rows, or on orbits
+# Every atom: one LP on the distinct rows
 
 
 def upper_incidence(family, n, k):
@@ -1096,7 +1112,7 @@ def test_solver_failed_states_the_weights_and_the_separation(monkeypatch):
     # identity misses p(a=0,b=1|x=0,y=1) = 0.7 / 12 by 1 - 0.7 / 12
     d = dn.Density(0.7 * uniform_permutation_density(4) + 0.3 * cyclic_density(4, 4))
 
-    def unsettled(system, p, orbits=None):
+    def unsettled(system, p):
         return 0.0, np.eye(len(system[0]))[0], np.zeros(p.size), 0.0
 
     monkeypatch.setattr(dn, "_membership_lp", unsettled)
@@ -1107,7 +1123,7 @@ def test_solver_failed_states_the_weights_and_the_separation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric densities: the LP over every atom posed once, on orbits
+# Symmetric densities: every LP posed on orbits
 
 
 def candidate_relabelings(n, k):
@@ -1203,9 +1219,9 @@ def test_orbit_lp_verdicts_match_the_full_row_lp(family, n, s, relabel):
     calls = []
     real = dn._membership_lp
 
-    def spy(system, p, orbits=None):
-        calls.append(orbits is not None)
-        return real(system, p, orbits)
+    def spy(system, p):
+        calls.append(len(system[0]))
+        return real(system, p)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dn, "_membership_lp", spy)
@@ -1214,8 +1230,8 @@ def test_orbit_lp_verdicts_match_the_full_row_lp(family, n, s, relabel):
         else:
             res, rebuild = dn.local_sync_membership(d), dn.response_mixture_density
     # every atom is compatible, so the one LP, if the least-squares step
-    # leaves one to pose, is the one on orbits
-    assert calls in ([], [True])
+    # leaves one to pose, is the one over every atom
+    assert calls in ([], [len(atoms)])
     assert isinstance(res, dn.Infeasible) == (t_star > dn.DEFAULT_TOL)
     if isinstance(res, dn.Infeasible):
         assert res.violation == pytest.approx(t_star, abs=1e-9)
@@ -1238,8 +1254,8 @@ def test_orbit_lp_duals_hold_on_every_atom(n, s):
     d = symmetric_density("permutations", n, n, s)
     atoms = games.atoms_within("permutations", n, n)
     idx = dn._atom_coordinates(atoms, n)
+    t_star, lam, y, mu = dn._membership_lp(dn._distinct_rows(idx, d.p.shape), d.p)
     orbits = dn._coordinate_orbits(dn._symmetries(d.p))
-    t_star, lam, y, mu = dn._membership_lp(dn._distinct_rows(idx, d.p.shape), d.p, orbits)
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, n), abs=1e-9)
     assert lam.shape == (len(atoms),) and lam.min() >= 0.0
     assert lam.sum() == pytest.approx(1.0, abs=1e-9)
@@ -1247,6 +1263,171 @@ def test_orbit_lp_duals_hold_on_every_atom(n, s):
     assert float(y @ d.p.reshape(-1)) + mu == pytest.approx(t_star, abs=1e-9)
     # y is constant on each orbit of coordinates
     assert np.abs(y - y[orbits]).max() <= 1e-12
+
+
+def kept_relabeling_density(family, n, k, seed, sides):
+    """0.6 U + 0.3 q + 0.1 z, q the uniform mixture of 3 random atoms, averaged
+    with its copy whose inputs 0 and 1 are swapped, whose outputs 0 and 1 are
+    swapped, or both in turn: it keeps those one or two swaps."""
+    rng = np.random.default_rng(seed)
+    draws = ([rng.permutation(n) for _ in range(3)] if family == "permutations"
+             else rng.integers(k, size=(3, n)))
+    q = sum(loop_density(f, k) for f in draws) / 3
+    p = 0.6 * uniform_atom_density(family, n, k) + 0.3 * q + 0.1 * cyclic_density(n, k)
+    sw_n, sw_k, all_n, all_k = np.r_[1, 0, 2:n], np.r_[1, 0, 2:k], np.arange(n), np.arange(k)
+    if sides in ("inputs", "both"):
+        p = (p + p[np.ix_(sw_n, sw_n, all_k, all_k)]) / 2
+    if sides in ("outputs", "both"):
+        p = (p + p[np.ix_(all_n, all_n, sw_k, sw_k)]) / 2
+    return dn.Density(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["permutations", "responses"]), n=st.integers(3, 6),
+       k=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       sides=st.sampled_from(["inputs", "outputs", "both"]))
+def test_lp_on_few_kept_relabelings_matches_the_full_row_lp(family, n, k, seed, sides):
+    if family == "permutations":
+        k = n
+    else:
+        n = min(n, 5)
+    d = kept_relabeling_density(family, n, k, seed, sides)
+    kept = dn._symmetries(d.p)
+    assert len(kept) >= 1
+    atoms = games.atoms_within(family, n, k)
+    idx = dn._atom_coordinates(atoms, k)
+    system = dn._distinct_rows(idx, d.p.shape)
+    posed, real = [], scipy.optimize.linprog
+
+    def spy(c, A_ub=None, *args, **kwargs):
+        posed.append(A_ub.toarray())
+        return real(c, A_ub, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "linprog", spy)
+        t_star, lam, y, mu = dn._membership_lp(system, d.p)
+    assert t_star == pytest.approx(full_row_lp(atoms, d.p, k), abs=1e-9)
+    assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (y[idx].sum(axis=1) + mu).max() <= 1e-9
+    assert float(y @ d.p.reshape(-1)) + mu == pytest.approx(t_star, abs=1e-9)
+    # reference: how many rows of each orbit of rows each atom hits
+    r, rows, mates = system
+    orbits = dn._coordinate_orbits(kept)
+    _, orbit, size = np.unique(np.minimum(orbits[rows], orbits[mates]),
+                               return_inverse=True, return_counts=True)
+    counts = np.zeros((len(atoms), size.size), dtype=int)
+    np.add.at(counts, (np.arange(len(atoms))[:, None], orbit[r]), 1)
+    # each posed constraint is one class: the alpha block holds -count / size
+    (a_ub,) = posed
+    class_counts = np.rint(-a_ub[:, :size.size] * size).astype(int)
+    assert np.abs(-class_counts / size - a_ub[:, :size.size]).max() <= 1e-15
+    classes = {tuple(row): c for c, row in enumerate(class_counts)}
+    assert len(classes) == len(a_ub)
+    atom_class = np.array([classes[tuple(row)] for row in counts])
+    assert set(atom_class) == set(range(len(a_ub)))
+    # each class is a union of orbits of atoms: every kept relabeling moves
+    # an atom onto an atom of its class
+    where = {tuple(sorted(c)): j for j, c in enumerate(idx)}
+    for move in kept:
+        image = np.array([where[tuple(sorted(move[c]))] for c in idx])
+        assert np.array_equal(atom_class[image], atom_class)
+
+
+def all_row_lp_arguments(system, p):
+    """Reference: the arguments the LP over all distinct rows was handed
+    before it was posed on orbits, atom by atom."""
+    flat = p.reshape(-1)
+    r, rows, mates = system
+    hit = np.zeros(flat.size, dtype=bool)
+    hit[rows] = hit[mates] = True
+    swap = flat[mates] < flat[rows]
+    lo, hi = np.where(swap, mates, rows), np.where(swap, rows, mates)
+    missed = np.flatnonzero(~hit)
+    t_floor = 0.0 if not missed.size else float(np.abs(flat[missed]).max())
+    (ncols, per_col), nrows = r.shape, rows.size
+    indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)]).ravel()
+    data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), ncols)
+    indptr = np.arange(ncols + 1) * (2 * per_col + 1)
+    a_ub = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ncols, 2 * nrows + 2))
+    c = np.concatenate([flat[lo], -flat[hi], [-t_floor, -1.0]])
+    bounds = np.zeros((2 * nrows + 2, 2))
+    bounds[:, 1] = np.inf
+    bounds[-1, 0] = -np.inf
+    return {"c": c, "A_ub": a_ub, "b_ub": np.zeros(ncols),
+            "A_eq": np.append(np.ones(2 * nrows + 1), 0.0)[None, :], "b_eq": [1.0],
+            "bounds": bounds, "method": "highs",
+            "options": {**dn._LP_OPTIONS,
+                        "maxiter": dn._LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size)}}
+
+
+@pytest.mark.parametrize("which", ["rho4", "rows6", "both_stages"])
+def test_lp_without_kept_relabelings_is_the_all_row_lp_bit_for_bit(which):
+    # 0.6 U_4 + 0.3 rho + 0.1 z_4 and the n = 6 all-row input of the CI pose
+    # every atom; 0.8 of a random mixture plus 0.2 z_4 at tol 0.05 poses the
+    # compatible atoms, then every atom.  None keeps a relabeling
+    tol = dn.DEFAULT_TOL
+    if which == "rho4":
+        d = dn.Density(0.6 * uniform_permutation_density(4)
+                       + 0.3 * dn.from_permutation((0, 1, 3, 2)).p + 0.1 * cyclic_density(4, 4))
+    elif which == "rows6":
+        sigma = dn.from_permutation((1, 3, 0, 5, 2, 4))
+        d = dn.Density(0.6 * closed_form_uniform(6) + 0.3 * sigma.p + 0.1 * cyclic_density(6, 6))
+    else:
+        mix = random_permutation_mixture(np.random.default_rng(0), 4, 3)
+        d, tol = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4)), 0.05
+    assert not len(dn._symmetries(d.p))
+    systems, handed = [], []
+    real_lp, real_linprog = dn._membership_lp, scipy.optimize.linprog
+
+    def spy_lp(system, p):
+        systems.append(system)
+        return real_lp(system, p)
+
+    def spy_linprog(c, **kwargs):
+        handed.append({"c": c, **kwargs})
+        return real_linprog(c, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dn, "_membership_lp", spy_lp)
+        mp.setattr(scipy.optimize, "linprog", spy_linprog)
+        dn.local_bisync_membership(d, tol)
+    assert len(handed) == len(systems) == (2 if which == "both_stages" else 1)
+    for system, got in zip(systems, handed):
+        ref = all_row_lp_arguments(system, d.p)
+        assert got.keys() == ref.keys()
+        a, b = got.pop("A_ub"), ref.pop("A_ub")
+        assert a.shape == b.shape and a.dtype == b.dtype
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+        for key, value in ref.items():
+            assert np.asarray(got[key]).dtype == np.asarray(value).dtype, key
+            assert np.array_equal(got[key], value) if key != "options" else got[key] == value
+
+
+def test_one_kept_relabeling_at_n7_stays_small_in_memory():
+    # 0.6 U_7 + 0.3 q + 0.1 z_7, q a mixture of 3 permutations, averaged with
+    # its copy whose inputs 0 and 1 are swapped, keeps that one swap, so the
+    # LP over its 5040 atoms has almost as many classes.  Finding them from
+    # integer keys stays far below the 217 MB that a dense atoms x orbits
+    # matrix takes
+    n = 7
+    rng = np.random.default_rng(5)
+    q = sum(loop_density(rng.permutation(n), n) for _ in range(3)) / 3
+    p = 0.6 * closed_form_uniform(n) + 0.3 * q + 0.1 * cyclic_density(n, n)
+    sw = np.r_[1, 0, 2:n]
+    d = dn.Density((p + p[np.ix_(sw, sw, range(n), range(n))]) / 2)
+    assert len(dn._symmetries(d.p)) == 1
+    dn._atom_table("permutations", n, n)
+    tracemalloc.start()
+    try:
+        res = dn.local_bisync_membership(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert isinstance(res, dn.Infeasible)
+    on_polytope, at_d = dn.separation_margins(d, res)
+    assert on_polytope <= 1e-9 and at_d == res.violation
 
 
 def test_asymmetric_input_poses_the_stages_it_posed_before(monkeypatch):
