@@ -432,9 +432,8 @@ def _membership_lp(system, p):
     m = size.size
     # an atom's key is the orbits of its rows, sorted, and a class is the
     # atoms of one key, numbered in the order of their first atoms (lexsort
-    # is stable, so each run of equal keys starts at its first atom; an
-    # unsigned difference wraps, but is nonzero exactly where keys differ)
-    key = np.sort(orbit.astype(np.min_scalar_type(m))[r], axis=1)
+    # is stable, so each run of equal keys starts at its first atom)
+    key = np.sort(orbit[r], axis=1)
     order = np.lexsort(key.T[::-1])
     new = np.append(True, np.diff(key[order], axis=0).any(axis=1))
     head = np.empty(order.size, dtype=np.intp)
@@ -448,7 +447,7 @@ def _membership_lp(system, p):
     # class's constraint row has -1/size at the alpha and +1/size at the
     # beta of the orbit of each row its first atom hits, and +1 at mu.
     ncols, per_col = first_key.shape
-    indices = np.hstack([first_key, first_key + np.intp(m),
+    indices = np.hstack([first_key, first_key + m,
                          np.full((ncols, 1), 2 * m + 1)]).ravel()
     data = np.hstack([(-1.0 / size)[first_key], (1.0 / size)[first_key],
                       np.ones((ncols, 1))]).ravel()

@@ -1360,15 +1360,20 @@ def all_row_lp_arguments(system, p):
                         "maxiter": dn._LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size)}}
 
 
-@pytest.mark.parametrize("which", ["rho4", "rows6", "both_stages"])
+@pytest.mark.parametrize("which", ["rho4", "rows5", "rows6", "both_stages"])
 def test_lp_without_kept_relabelings_is_the_all_row_lp_bit_for_bit(which):
-    # 0.6 U_4 + 0.3 rho + 0.1 z_4 and the n = 6 all-row input of the CI pose
-    # every atom; 0.8 of a random mixture plus 0.2 z_4 at tol 0.05 poses the
-    # compatible atoms, then every atom.  None keeps a relabeling
+    # 0.6 U_4 + 0.3 rho + 0.1 z_4, its n = 5 analogue and the n = 6 all-row
+    # input of the CI pose every atom; 0.8 of a random mixture plus 0.2 z_4
+    # at tol 0.05 poses the compatible atoms, then every atom.  None keeps a
+    # relabeling.  At n = 5 the 225 rows exceed 127 and stay below 256, where
+    # a key in 8 bits would wrap when shifted to the beta columns
     tol = dn.DEFAULT_TOL
     if which == "rho4":
         d = dn.Density(0.6 * uniform_permutation_density(4)
                        + 0.3 * dn.from_permutation((0, 1, 3, 2)).p + 0.1 * cyclic_density(4, 4))
+    elif which == "rows5":
+        sigma = dn.from_permutation((1, 3, 0, 4, 2))
+        d = dn.Density(0.6 * closed_form_uniform(5) + 0.3 * sigma.p + 0.1 * cyclic_density(5, 5))
     elif which == "rows6":
         sigma = dn.from_permutation((1, 3, 0, 5, 2, 4))
         d = dn.Density(0.6 * closed_form_uniform(6) + 0.3 * sigma.p + 0.1 * cyclic_density(6, 6))
@@ -1396,6 +1401,12 @@ def test_lp_without_kept_relabelings_is_the_all_row_lp_bit_for_bit(which):
         ref = all_row_lp_arguments(system, d.p)
         assert got.keys() == ref.keys()
         a, b = got.pop("A_ub"), ref.pop("A_ub")
+        # -1 at the alpha of each row, +1 at its beta, +1 at mu, in range
+        nrows = system[1].size
+        assert a.shape[1] == 2 * nrows + 2 and a.indices.max() < a.shape[1]
+        signs = np.sign(a.data).astype(int)
+        assert (a.indices[signs < 0] < nrows).all()
+        assert (a.indices[signs > 0] >= nrows).all()
         assert a.shape == b.shape and a.dtype == b.dtype
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(a, part), getattr(b, part))
