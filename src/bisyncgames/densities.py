@@ -41,6 +41,10 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_toleranc
 # stall near a degenerate optimum, and the limit turns that into
 # SolverFailed instead of an unbounded wait.
 _LP_ITERATIONS_PER_SIZE = 10
+# A solution passes when x, its objective and every row activity are not
+# NaN and every bound holds within this: scipy's post-solve check, at its
+# default tol of 1e-9
+_LP_CHECK_TOL = math.sqrt(1e-9) * 10
 
 
 @dataclass(frozen=True)
@@ -377,7 +381,7 @@ class Infeasible:
     atoms: str = "permutations"
 
 
-def _membership_lp(system, p):
+def _membership_lp(system, p, coordinate_orbit):
     """Minimize the sup-norm slack t over {lam >= 0 : |A lam - p| <= t, sum lam = 1}.
 
     Column j of A is the flattened density of atom j.  ``system`` is
@@ -402,16 +406,17 @@ def _membership_lp(system, p):
     union of orbits of atoms.  Classes are numbered by first occurrence,
     and each class's multiplier is spread evenly over its atoms.  With no
     relabeling kept, every atom is its own class, and the LP is the one
-    on all rows, atom by atom, bit for bit.
+    on all rows, atom by atom, bit for bit.  ``coordinate_orbit`` labels
+    each coordinate of p with its orbit, as
+    ``_coordinate_orbits(_symmetries(p))`` does.
 
+    The LP goes to HiGHS directly (:func:`_highs_solve`), row by row, with
+    the options built once per process (:func:`_highs_options`).
     Returns (t*, lam, y, mu), with the duals mapped back onto every
     coordinate: y . col + mu <= 0 for every atom and y . p + mu = t*.
     Raises :class:`SolverFailed` when HiGHS reports no optimum, as on
-    reaching the iteration limit.
+    reaching the iteration limit, or its solution fails the check.
     """
-    import scipy.optimize
-    import scipy.sparse
-
     flat = p.reshape(-1)
     r, rows, mates = system
     hit = np.zeros(flat.size, dtype=bool)
@@ -425,7 +430,6 @@ def _membership_lp(system, p):
     # a posed row is a coordinate and its mirror, labeled by the lesser of
     # their orbits; the rows of an orbit share p's lower and upper entries,
     # so its first row stands for it
-    coordinate_orbit = _coordinate_orbits(_symmetries(p))
     _, first_row, orbit, size = np.unique(
         np.minimum(coordinate_orbit[rows], coordinate_orbit[mates]),
         return_index=True, return_inverse=True, return_counts=True)
@@ -444,38 +448,104 @@ def _membership_lp(system, p):
     first_key = key[first_atom]
 
     # Variables (alpha, beta, gamma, mu), one alpha and beta per orbit.  A
-    # class's constraint row has -1/size at the alpha and +1/size at the
-    # beta of the orbit of each row its first atom hits, and +1 at mu.
+    # class's constraint row, <= 0, has -1/size at the alpha and +1/size at
+    # the beta of the orbit of each row its first atom hits, and +1 at mu.
+    # A row's indices increase and the next row starts below its last, so
+    # repeats are adjacent; bincount merges them, adding in order.
     ncols, per_col = first_key.shape
     indices = np.hstack([first_key, first_key + m,
                          np.full((ncols, 1), 2 * m + 1)]).ravel()
     data = np.hstack([(-1.0 / size)[first_key], (1.0 / size)[first_key],
                       np.ones((ncols, 1))]).ravel()
-    indptr = np.arange(ncols + 1) * (2 * per_col + 1)
-    a_ub = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ncols, 2 * m + 2))
-    a_ub.sum_duplicates()
-    a_eq = np.append(np.ones(2 * m + 1), 0.0)[None, :]
-    # linprog minimizes
+    new = np.append(True, np.diff(indices) != 0)
+    entry = np.cumsum(new) - 1
+    # the last row, = 1: alpha, beta and gamma sum to 1
+    nnz = int(entry[-1]) + 1
+    indptr = np.append(entry[::2 * per_col + 1], [nnz, nnz + 2 * m + 1])
+    indices = np.append(indices[new], np.arange(2 * m + 1))
+    data = np.append(np.bincount(entry, data), np.ones(2 * m + 1))
+    # HiGHS minimizes
     c = np.concatenate([flat[lo[first_row]], -flat[hi[first_row]], [-t_floor, -1.0]])
-    bounds = np.zeros((2 * m + 2, 2))
-    bounds[:, 1] = np.inf
-    bounds[-1, 0] = -np.inf
-    res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(ncols), A_eq=a_eq, b_eq=[1.0],
-        bounds=bounds, method="highs",
-        options={**_LP_OPTIONS, "maxiter": _LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size)},
-    )
-    if res.status != 0:
-        raise SolverFailed(f"membership LP failed with HiGHS status {res.status}: "
-                           f"{res.message}")
+    row_bounds = (np.append(np.full(ncols, -np.inf), 1.0), np.append(np.zeros(ncols), 1.0))
+    col_bounds = (np.append(np.zeros(2 * m + 1), -np.inf), np.full(2 * m + 2, np.inf))
+    x, row_dual, fun = _highs_solve(
+        c, (indptr, indices, data), row_bounds, col_bounds,
+        _LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size), _highs_options())
     # lam is the multipliers of the class constraints, which HiGHS may
     # return some 1e-11 below zero
-    x, lam = res.x, np.maximum(-res.ineqlin.marginals, 0.0)
+    lam = np.maximum(-row_dual[:ncols], 0.0)
     alpha, beta, (gamma, mu) = (x[:m] / size)[orbit], (x[m:2 * m] / size)[orbit], x[2 * m:]
     y = np.bincount(hi, beta, flat.size) - np.bincount(lo, alpha, flat.size)
     if worst is not None:
         y[worst] = gamma * np.sign(flat[worst])
-    return -float(res.fun), (lam / class_size)[atom_class], y, float(mu)
+    return -fun, (lam / class_size)[atom_class], y, float(mu)
+
+
+@functools.cache
+def _highs_options():
+    """The HiGHS options of every membership LP, built once per process and never changed.
+
+    Presolve on, dual simplex, no output, and the primal and dual
+    feasibility tolerances of ``_LP_OPTIONS``.  Each solve copies them
+    into its own HiGHS instance and sets its iteration limit there
+    (:func:`_highs_solve`).
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    for name, value in _LP_OPTIONS.items():
+        setattr(options, name, value)
+    return options
+
+
+def _highs_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options):
+    """Minimize c . x in HiGHS subject to bounds on A x and on x.
+
+    ``row_bounds`` and ``col_bounds`` are (lower, upper) pairs of arrays:
+    lower <= A x <= upper, entry by entry, and likewise for x.
+    ``a_rows`` is A row by row, (indptr, indices, data), with increasing
+    column indices in each row.  HiGHS runs at ``options``
+    (:func:`_highs_options`), with at most ``iteration_limit`` simplex
+    and interior-point iterations.  Returns (x, the row duals, the
+    objective).  Raises :class:`SolverFailed`, naming HiGHS's model
+    status, when HiGHS reports an error or no optimum, as on reaching
+    the iteration limit, and when the solution fails the check after the
+    solve: a NaN, or a bound of x or of a row missed by more than
+    ``_LP_CHECK_TOL``.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_bounds[0].size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a_rows
+    lp.col_cost_ = c
+    lp.row_lower_, lp.row_upper_ = row_bounds
+    lp.col_lower_, lp.col_upper_ = col_bounds
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.setOptionValue("simplex_iteration_limit", iteration_limit)
+    solver.setOptionValue("ipm_iteration_limit", iteration_limit)
+    error = (solver.passModel(lp) == highs.HighsStatus.kError
+             or solver.run() == highs.HighsStatus.kError)
+    status = solver.getModelStatus()
+    if error or status != highs.HighsModelStatus.kOptimal:
+        raise SolverFailed(f"membership LP failed: HiGHS {'error, ' if error else ''}model "
+                           f"status '{solver.modelStatusToString(status)}'")
+    solution = solver.getSolution()
+    x, activity = np.array(solution.col_value), np.array(solution.row_value)
+    fun = float(solver.getInfo().objective_function_value)
+    tol = _LP_CHECK_TOL
+    if (math.isnan(fun) or np.isnan(x).any() or np.isnan(activity).any()
+            or (x < col_bounds[0] - tol).any() or (x > col_bounds[1] + tol).any()
+            or (activity < row_bounds[0] - tol).any() or (activity > row_bounds[1] + tol).any()):
+        raise SolverFailed(f"membership LP failed: the HiGHS solution misses its bounds "
+                           f"by more than {tol:.2e}")
+    return x, np.array(solution.row_dual), fun
 
 
 def _distinct_rows(idx, shape):
@@ -616,7 +686,8 @@ def _decide_membership(family, d, tol, wrap):
     two stages, one LP each and in this order: C (only when C is not
     every atom), then every atom.  Each LP is posed on the orbits of
     the relabelings that fix p (:func:`_membership_lp`), which fix the
-    mask p > tol and so map C onto itself.  Each atom set's
+    mask p > tol and so map C onto itself; their orbits are found at the
+    first LP and reused by the second.  Each atom set's
     coordinates and distinct rows are found once, for its least-squares
     step, its LP and its checks.  Each stage checks the LP's own weights
     (support lam > 1e-12, renormalized), whatever its t*: every LP poses
@@ -668,10 +739,15 @@ def _decide_membership(family, d, tol, wrap):
         err = float(np.abs(_coordinate_mixture(idx[support], weights, d.p.shape) - d.p).max())
         return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
 
+    @functools.cache
+    def coordinate_orbit():
+        """The orbits of p's symmetries: found at the first LP, and at most once."""
+        return _coordinate_orbits(_symmetries(d.p))
+
     def settle(atoms, idx, system):
         """One LP on ``atoms`` and both checks: (verdict or None, why neither check passed)."""
         if len(atoms):
-            t_star, lam, y, mu = _membership_lp(system, d.p)
+            t_star, lam, y, mu = _membership_lp(system, d.p, coordinate_orbit())
             support = np.flatnonzero(lam > 1e-12)
             verdict, err = checked(atoms, idx, support, lam[support] / lam[support].sum())
             if verdict is not None:
@@ -723,9 +799,11 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     density without full support lifts the LP's functional on them to
     every permutation.  The LP over all n! permutations decides the rest.
     Every LP is posed on the orbits of the relabelings, of a fixed set,
-    that leave the density unchanged, with one constraint per class of
-    permutations read from integer orbit keys; with none kept that is
-    the LP on all rows.  A mixture from an LP spans whole orbits (U_7
+    that leave the density unchanged (found once, at the first LP), with
+    one constraint per class of permutations read from integer orbit
+    keys; with none kept that is the LP on all rows.  Each LP goes to
+    HiGHS directly, with options built once per process, and its
+    solution is checked after the solve.  A mixture from an LP spans whole orbits (U_7
     returns all 5040 permutations) and is its own weights, returned
     once they pass the check.
     ``violation`` is a separating value: the distance t* of that LP when
@@ -736,9 +814,10 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
     :func:`separation_margins`.  n is bounded only through the guard:
     PreconditionFailed is raised when the search or an LP would hold more
     than 8! permutations.  SolverFailed is raised when no stage
-    settles the density or an LP ends without an optimum, as on reaching
-    its iteration limit; its message gives t*, how far the last LP's
-    weights are from the density and how far its certificate separates.
+    settles the density, with a message that gives t*, how far the last
+    LP's weights are from the density and how far its certificate
+    separates; and when an LP ends without an optimum, as on reaching its
+    iteration limit, with a message that names HiGHS's model status.
     """
     if not validate(d, tol):
         raise PreconditionFailed("density must be valid")

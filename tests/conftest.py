@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bisyncgames import linalg, qperm
+from bisyncgames import densities, linalg, qperm
 
 
 @pytest.fixture
@@ -37,6 +37,17 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+_highs_solve = densities._highs_solve
+
+
+def infeasible_solve(c, a_rows, row_bounds, *args):
+    """The membership LP handed to HiGHS with its last row, alpha + beta + gamma
+    = 1 over nonnegative variables, asking for -1 instead: HiGHS finds it
+    infeasible.  Patched over ``densities._highs_solve``."""
+    lower, upper = (np.append(bound[:-1], -1.0) for bound in row_bounds)
+    return _highs_solve(c, a_rows, (lower, upper), *args)
 
 
 _PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),

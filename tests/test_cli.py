@@ -9,11 +9,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from bisyncgames import cli, cpmaps, densities as dn, games, qperm, serialize, vect
 
-from conftest import count_calls
+from conftest import count_calls, infeasible_solve
 
 
 def run_cli(args):
@@ -379,9 +378,6 @@ def test_stdin_roundtrip(z3_path, monkeypatch, capsys):
 
 
 def test_solver_failure_cli_exits_2_without_traceback(monkeypatch, capsys, tmp_path):
-    def failing_linprog(*args, **kwargs):
-        return scipy.optimize.OptimizeResult(status=2, message="infeasible (forced)")
-
     # (1 - 1e-6) U_4 + 1e-6 z_4: its 24 atoms have rank 23, so it poses an LP
     perms = [dn.from_permutation(s) for s in itertools.permutations(range(4))]
     z4 = dn.Density(np.fromfunction(
@@ -389,11 +385,11 @@ def test_solver_failure_cli_exits_2_without_traceback(monkeypatch, capsys, tmp_p
     d = dn.mixture(perms + [z4], [(1 - 1e-6) / 24] * 24 + [1e-6])
     path = tmp_path / "lp_bound.json"
     serialize.dump_json(serialize.density_to_dict(d), str(path))
-    monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+    monkeypatch.setattr(dn, "_highs_solve", infeasible_solve)
     assert cli.run(["density", "local-decompose", "--in", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: membership LP failed")
+    assert err.startswith("error: membership LP failed: HiGHS model status 'Infeasible'")
     assert "Traceback" not in err
 
 

@@ -26,6 +26,8 @@ from bisyncgames.errors import (
     TooLarge,
 )
 
+from conftest import infeasible_solve
+
 
 def test_uniform_validates():
     assert dn.validate(dn.uniform_density(3, 4))
@@ -362,7 +364,7 @@ def test_membership_boundary_slice_is_infeasible(monkeypatch, n, s):
     # d_s = (1 - s) U_n + s z_n is nonlocal for every s > 0; at s = 1e-7 the
     # default HiGHS tolerances alone once let a mixture 1.7e-8 away through
     d = dn.Density((1 - s) * uniform_permutation_density(n) + s * cyclic_density(n, n))
-    calls = spy_linprog(monkeypatch)
+    calls = spy_solve(monkeypatch)
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.Infeasible)
     # every LP runs at primal and dual feasibility 1e-10, so no second LP
@@ -382,8 +384,7 @@ def test_membership_boundary_slice_is_infeasible(monkeypatch, n, s):
     assert float(d.p[f].sum()) - n > 0
 
 
-def failing_linprog(*args, **kwargs):
-    return scipy.optimize.OptimizeResult(status=2, message="infeasible (forced)")
+real_highs_solve = dn._highs_solve
 
 
 def lp_bound_density():
@@ -393,8 +394,8 @@ def lp_bound_density():
 
 
 def test_solver_failure_raises_package_error(monkeypatch):
-    monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
-    with pytest.raises(SolverFailed, match="status 2"):
+    monkeypatch.setattr(dn, "_highs_solve", infeasible_solve)
+    with pytest.raises(SolverFailed, match="HiGHS model status 'Infeasible'"):
         dn.local_bisync_membership(lp_bound_density())
 
 
@@ -433,6 +434,11 @@ def test_atom_helper_matches_loops(rng):
             rebuilt = dn.response_mixture_density(dn.ResponseMixture(w, kept, k))
         # same sums, possibly in another order
         assert np.abs(rebuilt.p - mixed).max() <= 1e-15
+
+
+def membership_lp(system, p):
+    """The LP a verdict poses on ``system``, on the orbits of p's symmetries."""
+    return dn._membership_lp(system, p, dn._coordinate_orbits(dn._symmetries(p)))
 
 
 def full_row_lp(atoms, p, k):
@@ -499,7 +505,7 @@ def test_reduced_lp_matches_full_row_reference(kind, n, k, seed, s):
     # both sides at the same HiGHS options: near the boundary HiGHS's
     # default ones leave t* uncertain by ~1e-8
     idx = dn._atom_coordinates(atoms, kk)
-    t_star, lam, y, mu = dn._membership_lp(dn._distinct_rows(idx, d.p.shape), d.p)
+    t_star, lam, y, mu = membership_lp(dn._distinct_rows(idx, d.p.shape), d.p)
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, kk), abs=1e-9)
     # the weights and the functional returned by the dual posing
     assert lam.min() >= -1e-12
@@ -524,16 +530,16 @@ def test_reduced_lp_matches_full_row_reference(kind, n, k, seed, s):
 # Candidate atoms first: the atoms whose coordinates all carry more than tol
 
 
-def spy_linprog(monkeypatch):
-    """Record the number of constraint rows and of variables of every LP."""
+def spy_solve(monkeypatch):
+    """Record the number of atom constraints (every row but the last) and
+    of variables of every LP handed to HiGHS."""
     calls = []
-    real = scipy.optimize.linprog
 
-    def spy(c, A_ub=None, *args, **kwargs):
-        calls.append((A_ub.shape[0], len(c)))
-        return real(c, A_ub, *args, **kwargs)
+    def spy(c, a_rows, row_bounds, *args):
+        calls.append((row_bounds[0].size - 1, c.size))
+        return real_highs_solve(c, a_rows, row_bounds, *args)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    monkeypatch.setattr(dn, "_highs_solve", spy)
     return calls
 
 
@@ -555,7 +561,7 @@ def test_sparse_local_mixture_poses_only_candidate_atoms(monkeypatch):
     # 6 random permutations of 7 points are independent: one least-squares
     # solve on them decides, with no LP
     d = random_permutation_mixture(np.random.default_rng(7), 7, 6)
-    calls = spy_linprog(monkeypatch)
+    calls = spy_solve(monkeypatch)
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
@@ -569,7 +575,7 @@ def test_sparse_local_mixture_poses_only_candidate_atoms(monkeypatch):
     assert len(res.permutations) == 24
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
     atoms = games.atoms_within("permutations", 7, 7)
-    dn._membership_lp(dn._distinct_rows(dn._atom_coordinates(atoms, 7), d.p.shape), d.p)
+    membership_lp(dn._distinct_rows(dn._atom_coordinates(atoms, 7), d.p.shape), d.p)
     (cand_atoms, cand_vars), (all_atoms, all_vars) = calls
     assert cand_atoms == 1
     assert cand_atoms < all_atoms < math.factorial(7)
@@ -599,7 +605,7 @@ def test_atom_near_tol_is_settled_by_one_lp_on_c(monkeypatch):
     for n, mix, lps in [(4, random_permutation_mixture(rng, 4, 3), 0), (5, block_uniform(5, 4), 1)]:
         sigma = tuple(rng.permutation(n).tolist())
         d = dn.Density((1 - eps) * mix.p + eps * dn.from_permutation(sigma).p)
-        calls = spy_linprog(monkeypatch)
+        calls = spy_solve(monkeypatch)
         res = dn.local_bisync_membership(d)
         assert isinstance(res, dn.PermutationMixture)
         assert np.abs(dn.mixture_density(res).p - d.p).max() <= dn.DEFAULT_TOL
@@ -823,7 +829,7 @@ def test_sparse_mixture_at_n10_is_decided_on_its_compatible_atoms(monkeypatch):
 def test_sparse_n8_nonlocal_poses_no_full_lp(monkeypatch):
     mix = random_permutation_mixture(np.random.default_rng(7), 8, 6)
     d = dn.Density(0.9 * mix.p + 0.1 * cyclic_density(8, 8))
-    calls = spy_linprog(monkeypatch)
+    calls = spy_solve(monkeypatch)
     res = dn.local_bisync_membership(d)
     assert isinstance(res, dn.Infeasible) and res.violation > dn.DEFAULT_TOL
     assert calls and all(atoms < math.factorial(8) for atoms, _ in calls)
@@ -924,7 +930,7 @@ def test_lifted_shortfall_skips_the_tight_resolve_on_c(monkeypatch, n, s):
     tol = 0.05
     mix = random_permutation_mixture(np.random.default_rng(3), n, 3)
     d = dn.Density((1 - s) * mix.p + s * cyclic_density(n, n))
-    calls = spy_linprog(monkeypatch)
+    calls = spy_solve(monkeypatch)
     res = dn.local_bisync_membership(d, tol)
     assert [atoms < math.factorial(n) for atoms, _ in calls] == [True, False]
     local = full_row_lp(games.atoms_within("permutations", n, n), d.p, n) <= tol
@@ -941,19 +947,30 @@ def test_every_membership_lp_gets_the_one_options_object(monkeypatch):
     # atoms, then every atom on all rows
     mix = random_permutation_mixture(np.random.default_rng(0), 4, 3)
     d = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4))
-    options, real = [], scipy.optimize.linprog
+    handed = []
 
-    def spy(*args, **kwargs):
-        options.append(kwargs.get("options"))
-        return real(*args, **kwargs)
+    def spy(c, a_rows, row_bounds, col_bounds, iteration_limit, options):
+        handed.append((row_bounds[0].size + c.size, iteration_limit, options))
+        return real_highs_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    monkeypatch.setattr(dn, "_highs_solve", spy)
     res = dn.local_bisync_membership(d, 0.05)
     assert isinstance(res, dn.PermutationMixture)
     assert np.abs(dn.mixture_density(res).p - d.p).max() <= 0.05
-    # one tolerance setting; only the iteration limit follows the LP's size
-    assert len(options) == 2
-    assert all(o == {**dn._LP_OPTIONS, "maxiter": o["maxiter"]} for o in options)
+    # one options object, built once; only the iteration limit, set on each
+    # solve's own HiGHS instance, follows the LP's size
+    assert len(handed) == 2
+    assert all(options is dn._highs_options() for *_, options in handed)
+    assert [limit for _, limit, _ in handed] == [dn._LP_ITERATIONS_PER_SIZE * size
+                                                 for size, *_ in handed]
+    options = dn._highs_options()
+    assert options.primal_feasibility_tolerance == options.dual_feasibility_tolerance == 1e-10
+    assert options.presolve == "on" and options.simplex_strategy == 1  # dual simplex
+    assert not options.output_flag and not options.log_to_console
+    # no solve wrote its limit into the shared object
+    default = type(options)()
+    assert options.simplex_iteration_limit == default.simplex_iteration_limit
+    assert options.ipm_iteration_limit == default.ipm_iteration_limit
 
 
 # ---------------------------------------------------------------------------
@@ -1112,7 +1129,7 @@ def test_solver_failed_states_the_weights_and_the_separation(monkeypatch):
     # identity misses p(a=0,b=1|x=0,y=1) = 0.7 / 12 by 1 - 0.7 / 12
     d = dn.Density(0.7 * uniform_permutation_density(4) + 0.3 * cyclic_density(4, 4))
 
-    def unsettled(system, p):
+    def unsettled(system, p, *args):
         return 0.0, np.eye(len(system[0]))[0], np.zeros(p.size), 0.0
 
     monkeypatch.setattr(dn, "_membership_lp", unsettled)
@@ -1219,9 +1236,9 @@ def test_orbit_lp_verdicts_match_the_full_row_lp(family, n, s, relabel):
     calls = []
     real = dn._membership_lp
 
-    def spy(system, p):
+    def spy(system, p, *args):
         calls.append(len(system[0]))
-        return real(system, p)
+        return real(system, p, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dn, "_membership_lp", spy)
@@ -1254,7 +1271,7 @@ def test_orbit_lp_duals_hold_on_every_atom(n, s):
     d = symmetric_density("permutations", n, n, s)
     atoms = games.atoms_within("permutations", n, n)
     idx = dn._atom_coordinates(atoms, n)
-    t_star, lam, y, mu = dn._membership_lp(dn._distinct_rows(idx, d.p.shape), d.p)
+    t_star, lam, y, mu = membership_lp(dn._distinct_rows(idx, d.p.shape), d.p)
     orbits = dn._coordinate_orbits(dn._symmetries(d.p))
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, n), abs=1e-9)
     assert lam.shape == (len(atoms),) and lam.min() >= 0.0
@@ -1297,15 +1314,18 @@ def test_lp_on_few_kept_relabelings_matches_the_full_row_lp(family, n, k, seed, 
     atoms = games.atoms_within(family, n, k)
     idx = dn._atom_coordinates(atoms, k)
     system = dn._distinct_rows(idx, d.p.shape)
-    posed, real = [], scipy.optimize.linprog
+    posed = []
 
-    def spy(c, A_ub=None, *args, **kwargs):
-        posed.append(A_ub.toarray())
-        return real(c, A_ub, *args, **kwargs)
+    def spy(c, a_rows, *args):
+        indptr, indices, data = a_rows
+        matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, c.size))
+        # the atom constraints: every row but the last, sum = 1
+        posed.append(matrix.toarray()[:-1])
+        return real_highs_solve(c, a_rows, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "linprog", spy)
-        t_star, lam, y, mu = dn._membership_lp(system, d.p)
+        mp.setattr(dn, "_highs_solve", spy)
+        t_star, lam, y, mu = membership_lp(system, d.p)
     assert t_star == pytest.approx(full_row_lp(atoms, d.p, k), abs=1e-9)
     assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-9)
     assert (y[idx].sum(axis=1) + mu).max() <= 1e-9
@@ -1334,8 +1354,8 @@ def test_lp_on_few_kept_relabelings_matches_the_full_row_lp(family, n, k, seed, 
 
 
 def all_row_lp_arguments(system, p):
-    """Reference: the arguments the LP over all distinct rows was handed
-    before it was posed on orbits, atom by atom."""
+    """Reference: the arguments HiGHS is handed for the LP over all distinct
+    rows as it was posed before orbits, atom by atom."""
     flat = p.reshape(-1)
     r, rows, mates = system
     hit = np.zeros(flat.size, dtype=bool)
@@ -1345,19 +1365,20 @@ def all_row_lp_arguments(system, p):
     missed = np.flatnonzero(~hit)
     t_floor = 0.0 if not missed.size else float(np.abs(flat[missed]).max())
     (ncols, per_col), nrows = r.shape, rows.size
-    indices = np.hstack([r, r + nrows, np.full((ncols, 1), 2 * nrows + 1)]).ravel()
+    width = 2 * nrows + 1
+    # one row per atom, <= 0, then alpha + beta + gamma = 1
+    indices = np.hstack([r, r + nrows, np.full((ncols, 1), width)]).ravel()
     data = np.tile(np.repeat([-1.0, 1.0, 1.0], [per_col, per_col, 1]), ncols)
     indptr = np.arange(ncols + 1) * (2 * per_col + 1)
-    a_ub = scipy.sparse.csr_matrix((data, indices, indptr), shape=(ncols, 2 * nrows + 2))
     c = np.concatenate([flat[lo], -flat[hi], [-t_floor, -1.0]])
-    bounds = np.zeros((2 * nrows + 2, 2))
-    bounds[:, 1] = np.inf
-    bounds[-1, 0] = -np.inf
-    return {"c": c, "A_ub": a_ub, "b_ub": np.zeros(ncols),
-            "A_eq": np.append(np.ones(2 * nrows + 1), 0.0)[None, :], "b_eq": [1.0],
-            "bounds": bounds, "method": "highs",
-            "options": {**dn._LP_OPTIONS,
-                        "maxiter": dn._LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size)}}
+    return {"c": c,
+            "a_rows": (np.append(indptr, indptr[-1] + width),
+                       np.append(indices, np.arange(width)), np.append(data, np.ones(width))),
+            "row_bounds": (np.append(np.full(ncols, -np.inf), 1.0),
+                           np.append(np.zeros(ncols), 1.0)),
+            "col_bounds": (np.append(np.zeros(width), -np.inf), np.full(width + 1, np.inf)),
+            "iteration_limit": dn._LP_ITERATIONS_PER_SIZE * (ncols + 1 + c.size),
+            "options": dn._highs_options()}
 
 
 @pytest.mark.parametrize("which", ["rho4", "rows5", "rows6", "both_stages"])
@@ -1382,37 +1403,44 @@ def test_lp_without_kept_relabelings_is_the_all_row_lp_bit_for_bit(which):
         d, tol = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4)), 0.05
     assert not len(dn._symmetries(d.p))
     systems, handed = [], []
-    real_lp, real_linprog = dn._membership_lp, scipy.optimize.linprog
+    real_lp = dn._membership_lp
 
-    def spy_lp(system, p):
+    def spy_lp(system, p, *args):
         systems.append(system)
-        return real_lp(system, p)
+        return real_lp(system, p, *args)
 
-    def spy_linprog(c, **kwargs):
-        handed.append({"c": c, **kwargs})
-        return real_linprog(c, **kwargs)
+    def spy_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options):
+        handed.append({"c": c, "a_rows": a_rows, "row_bounds": row_bounds,
+                       "col_bounds": col_bounds, "iteration_limit": iteration_limit,
+                       "options": options})
+        return real_highs_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dn, "_membership_lp", spy_lp)
-        mp.setattr(scipy.optimize, "linprog", spy_linprog)
+        mp.setattr(dn, "_highs_solve", spy_solve)
         dn.local_bisync_membership(d, tol)
     assert len(handed) == len(systems) == (2 if which == "both_stages" else 1)
     for system, got in zip(systems, handed):
         ref = all_row_lp_arguments(system, d.p)
         assert got.keys() == ref.keys()
-        a, b = got.pop("A_ub"), ref.pop("A_ub")
-        # -1 at the alpha of each row, +1 at its beta, +1 at mu, in range
+        indptr, indices, data = got["a_rows"]
+        # each atom's row: -1 at the alpha of each row it hits, +1 at its
+        # beta, +1 at mu, in range; the last row is +1 at every alpha, beta
+        # and gamma
         nrows = system[1].size
-        assert a.shape[1] == 2 * nrows + 2 and a.indices.max() < a.shape[1]
-        signs = np.sign(a.data).astype(int)
-        assert (a.indices[signs < 0] < nrows).all()
-        assert (a.indices[signs > 0] >= nrows).all()
-        assert a.shape == b.shape and a.dtype == b.dtype
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(a, part), getattr(b, part))
-        for key, value in ref.items():
-            assert np.asarray(got[key]).dtype == np.asarray(value).dtype, key
-            assert np.array_equal(got[key], value) if key != "options" else got[key] == value
+        atoms = indptr[-2]
+        assert indices.max() < 2 * nrows + 2
+        signs = np.sign(data[:atoms]).astype(int)
+        assert (indices[:atoms][signs < 0] < nrows).all()
+        assert (indices[:atoms][signs > 0] >= nrows).all()
+        assert np.array_equal(indices[atoms:], np.arange(2 * nrows + 1))
+        for key in ("a_rows", "row_bounds", "col_bounds"):
+            for got_part, ref_part in zip(got[key], ref[key], strict=True):
+                assert got_part.dtype == ref_part.dtype, key
+                assert np.array_equal(got_part, ref_part), key
+        assert got["c"].dtype == ref["c"].dtype and np.array_equal(got["c"], ref["c"])
+        assert got["iteration_limit"] == ref["iteration_limit"]
+        assert got["options"] is ref["options"]
 
 
 def test_one_kept_relabeling_at_n7_stays_small_in_memory():
@@ -1448,13 +1476,7 @@ def test_asymmetric_input_poses_the_stages_it_posed_before(monkeypatch):
     mix = random_permutation_mixture(np.random.default_rng(0), 4, 3)
     d = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4))
     assert not len(dn._symmetries(d.p))
-    shapes, real = [], scipy.optimize.linprog
-
-    def spy(c, A_ub=None, *args, **kwargs):
-        shapes.append(A_ub.shape)
-        return real(c, A_ub, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    shapes = spy_solve(monkeypatch)
     res = dn.local_bisync_membership(d, 0.05)
     assert isinstance(res, dn.PermutationMixture)
     idx = dn._atom_coordinates(games.atoms_within("permutations", 4, 4), 4)
@@ -1576,3 +1598,124 @@ def test_atom_table_beyond_the_guard_raises_the_guards_error():
         dn._atom_table("permutations", 9, 9)
     with pytest.raises(TooLarge, match="exceed the guard of 3000"):
         dn._atom_table("responses", 8, 3)
+
+
+# ---------------------------------------------------------------------------
+# HiGHS called directly: scipy.optimize.linprog as the reference
+
+
+def linprog_reference(c, a_rows, row_bounds, col_bounds, iteration_limit):
+    """scipy.optimize.linprog on an LP handed to HiGHS: the rows whose lower
+    bound is finite are its equalities, the others its <= rows, in order."""
+    indptr, indices, data = a_rows
+    a = scipy.sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, c.size))
+    lower, upper = row_bounds
+    eq = np.isfinite(lower)
+    assert np.array_equal(lower[eq], upper[eq])
+    return scipy.optimize.linprog(c, A_ub=a[~eq], b_ub=upper[~eq], A_eq=a[eq], b_eq=upper[eq],
+                                  bounds=np.column_stack(col_bounds), method="highs",
+                                  options={**dn._LP_OPTIONS, "maxiter": iteration_limit})
+
+
+def response_density(n, k, seed, s, uniform=0.0):
+    """(1 - s - uniform) q + uniform U + s z, q a mixture of 4 random response functions."""
+    rng = np.random.default_rng(seed)
+    q = dn._atom_mixture(rng.integers(k, size=(4, n)), rng.dirichlet(np.ones(4)), k)
+    return dn.Density((1 - s - uniform) * q + uniform * uniform_atom_density("responses", n, k)
+                      + s * cyclic_density(n, k))
+
+
+# (family, density, tol, keeps a relabeling, the stages posed: True for the
+# compatible atoms C, False for every atom)
+_REFERENCE_INPUTS = {
+    "permutations symmetric, every atom": lambda: (
+        "permutations", symmetric_density("permutations", 5, 5, 0.1), dn.DEFAULT_TOL,
+        True, [False]),
+    "permutations symmetric, C": lambda: (
+        "permutations", block_uniform(6, 4), dn.DEFAULT_TOL, True, [True]),
+    "permutations asymmetric, C then every atom": lambda: (
+        "permutations",
+        dn.Density(0.8 * random_permutation_mixture(np.random.default_rng(0), 4, 3).p
+                   + 0.2 * cyclic_density(4, 4)), 0.05, False, [True, False]),
+    "responses symmetric, every atom": lambda: (
+        "responses", symmetric_density("responses", 4, 3, 0.3), dn.DEFAULT_TOL, True, [False]),
+    "responses asymmetric, C": lambda: (
+        "responses", response_density(4, 3, 0, 0.3), 0.05, False, [True]),
+    "responses asymmetric, every atom": lambda: (
+        "responses", response_density(4, 3, 0, 0.1, uniform=0.6), dn.DEFAULT_TOL, False,
+        [False]),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_REFERENCE_INPUTS))
+def test_highs_solve_matches_linprog_bit_for_bit(monkeypatch, which):
+    # the same LPs through scipy's public linprog: the same status, and t*,
+    # x and the duals of every row equal to the last bit
+    family, d, tol, symmetric, stages = _REFERENCE_INPUTS[which]()
+    assert bool(len(dn._symmetries(d.p))) == symmetric
+    posed, solved = [], []
+    real_lp = dn._membership_lp
+
+    def spy_lp(system, p, *args):
+        posed.append(len(system[0]))
+        return real_lp(system, p, *args)
+
+    def spy_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options):
+        out = real_highs_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options)
+        solved.append(((c, a_rows, row_bounds, col_bounds, iteration_limit), out))
+        return out
+
+    monkeypatch.setattr(dn, "_membership_lp", spy_lp)
+    monkeypatch.setattr(dn, "_highs_solve", spy_solve)
+    if family == "permutations":
+        dn.local_bisync_membership(d, tol)
+        total = math.factorial(d.nA)
+    else:
+        dn.local_sync_membership(d, tol)
+        total = d.kA ** d.nA
+    assert [atoms < total for atoms in posed] == stages and len(solved) == len(stages)
+    for args, (x, row_dual, fun) in solved:
+        ref = linprog_reference(*args)
+        assert ref.status == 0
+        assert fun == ref.fun
+        assert np.array_equal(x, ref.x)
+        assert np.array_equal(row_dual[:-1], ref.ineqlin.marginals)
+        assert np.array_equal(row_dual[-1:], ref.eqlin.marginals)
+
+
+def test_stall_input_reaches_the_iteration_limit_both_ways(monkeypatch):
+    # 0.99999999 of the 12-permutation n = 6 mixture from default_rng(2)
+    # plus 1e-8 z_6, at tol 0.05: the LP over every atom stalls at
+    # feasibility 1e-10, and both routes report the iteration limit
+    rng = np.random.default_rng(2)
+    mix = dn.mixture([dn.from_permutation(rng.permutation(6)) for _ in range(12)],
+                     rng.dirichlet(np.ones(12)))
+    d = dn.Density((1 - 1e-8) * mix.p + 1e-8 * cyclic_density(6, 6))
+    handed = []
+
+    def spy(c, a_rows, row_bounds, col_bounds, iteration_limit, options):
+        handed.append((c, a_rows, row_bounds, col_bounds, iteration_limit))
+        return real_highs_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options)
+
+    monkeypatch.setattr(dn, "_highs_solve", spy)
+    with pytest.raises(SolverFailed, match="HiGHS model status 'Iteration limit reached'"):
+        dn.local_bisync_membership(d, 0.05)
+    ref = linprog_reference(*handed[-1])
+    assert ref.status == 1 and "Iteration limit reached" in ref.message
+
+
+def test_symmetries_are_found_once_per_verdict_and_only_for_an_lp(monkeypatch):
+    # the input of test_every_membership_lp_gets_the_one_options_object
+    # poses two LPs; 6 independent permutations of 7 points pose none
+    found = []
+    real = dn._symmetries
+    monkeypatch.setattr(dn, "_symmetries", lambda p: found.append(1) or real(p))
+    lps = spy_solve(monkeypatch)
+    mix = random_permutation_mixture(np.random.default_rng(0), 4, 3)
+    d = dn.Density(0.8 * mix.p + 0.2 * cyclic_density(4, 4))
+    assert isinstance(dn.local_bisync_membership(d, 0.05), dn.PermutationMixture)
+    assert len(lps) == 2 and len(found) == 1
+    found.clear(), lps.clear()
+    d = random_permutation_mixture(np.random.default_rng(7), 7, 6)
+    assert isinstance(dn.local_bisync_membership(d), dn.PermutationMixture)
+    assert lps == [] and found == []
