@@ -274,11 +274,16 @@ def fixed_point_set(m: ChoiMap, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     cross-checked against the joint commutant of the Kraus operators;
     a dimension disagreement raises InternalMismatch.
     """
-    return _fixed_point_bases(m, tol)[0]
+    fixed, commutant = _fixed_point_bases(m, tol)
+    if len(commutant) != len(fixed):
+        raise InternalMismatch(
+            f"eigenspace dimension {len(fixed)} != Kraus-commutant dimension {len(commutant)}")
+    return fixed
 
 
 def _fixed_point_bases(m: ChoiMap, tol: float):
-    """(eigenspace basis, Kraus-commutant basis) of Fix(Phi); see fixed_point_set."""
+    """(eigenspace basis, Kraus-commutant basis) of Fix(Phi), of dimensions that may
+    disagree near the threshold; see fixed_point_set."""
     if m.n != m.k:
         raise NotUnitalChannel("fixed points need equal input and output dimensions")
     if not (is_unital(m, tol) and is_tp(m, tol)):
@@ -291,11 +296,7 @@ def _fixed_point_bases(m: ChoiMap, tol: float):
     super_op = density_tensor(m).transpose(2, 3, 0, 1).reshape(n * n, n * n)
     basis_vecs = linalg.nullspace(super_op - np.eye(n * n), tol)
     fixed = [v.reshape(n, n) for v in basis_vecs]
-    commutant = linalg.joint_commutant(kraus.operators, tol)
-    if len(commutant) != len(fixed):
-        raise InternalMismatch(
-            f"eigenspace dimension {len(fixed)} != Kraus-commutant dimension {len(commutant)}")
-    return fixed, commutant
+    return fixed, linalg.joint_commutant(kraus.operators, tol)
 
 
 def is_schur_closed(basis, tol: float = DEFAULT_TOL) -> bool:

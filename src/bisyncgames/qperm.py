@@ -349,11 +349,30 @@ def fixed_pattern_basis(sys: QuantumPermutation,
 
 def commutation_subspace(sys: QuantumPermutation,
                          tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of {A : (A (x) 1) u = u (A (x) 1)}."""
+    """Orthonormal basis of {A : (A (x) 1) u = u (A (x) 1)}.
+
+    The subspace is the nullspace of the tall system M of
+    :func:`_commutation_system`, under the rank rule of
+    :func:`linalg.nullspace`: singular values at or below
+    cutoff = tol max(1, sigma_max) count as zero.  It is found from the
+    eigenvectors of the n^2 x n^2 Gram matrix M*M, returned only under a
+    certificate (:func:`_gram_nullspace`) that the rule gives the same
+    rank and that the basis is as accurate as the SVD's; otherwise M
+    itself goes through :func:`linalg.nullspace`.
+    """
     n = sys.n
     if sys.k != n:
         raise ShapeMismatch("commutation subspace needs a square system")
     ensure_verified(sys, tol)
+    basis = _gram_nullspace(sys, tol)
+    if basis is None:
+        basis = linalg.nullspace(_commutation_system(sys), tol)
+    return [v.reshape(n, n) for v in basis]
+
+
+def _commutation_system(sys: QuantumPermutation) -> np.ndarray:
+    """M: column (r, s) is vec((e_rs (x) 1) u - u (e_rs (x) 1)), the blocks stacked."""
+    n = sys.n
     # Column (r, s): block (k, j) is [k = r] E[s, j] - [j = s] E[k, r]; axes (k, p, j, q, r, s).
     diag, blocks = np.arange(n), []
     for g in sys.grids:
@@ -361,8 +380,63 @@ def commutation_subspace(sys: QuantumPermutation,
         block[diag, :, :, :, diag, :] = g.transpose(2, 1, 3, 0)
         block[:, :, diag, :, :, diag] -= g.transpose(0, 2, 3, 1)
         blocks.append(block.reshape(-1, n * n))
-    system = np.vstack(blocks)
-    return [v.reshape(n, n) for v in linalg.nullspace(system, tol)]
+    return np.vstack(blocks)
+
+
+def _commutation_gram(sys: QuantumPermutation) -> np.ndarray:
+    """M*M of :func:`_commutation_system`, from the pairings t[x, a, y, b] = sum tr(E[x, a]* E[y, b]).
+
+    G[(r, s), (r', s')] = [r = r'] sum_j t[s, j, s', j] + [s = s'] sum_k t[k, r, k, r']
+    - t[s, s', r, r'] - t[r', r, s', s]; only adjoints are used, not E^2 = E or sum E = 1,
+    so the identity holds for a system that is a quantum permutation only within tol.
+    """
+    n = sys.n
+    flat = [g.reshape(n * n, -1) for g in sys.grids]
+    t = sum(f.conj() @ f.T for f in flat).reshape((n,) * 4)
+    diag = np.arange(n)
+    gram = -(t.transpose(2, 0, 3, 1) + t.transpose(1, 3, 0, 2))  # axes (r, s, r', s')
+    gram[diag, :, diag, :] += np.einsum("sjtj->st", t)
+    gram[:, diag, :, diag] += np.einsum("krkt->rt", t)
+    return gram.reshape(n * n, n * n)
+
+
+def _gram_nullspace(sys: QuantumPermutation, tol: float):
+    """Nullspace of M (rows, as linalg.nullspace gives them) from eigh of M*M, or None.
+
+    The Gram matrix squares the singular values, so its eigenvectors are
+    returned only under a certificate.  With cutoff = tol max(1, sigma_max)
+    and slack = n^2 eps max(1, lambda_max), the candidate set Z holds the
+    eigenvalues at or below cutoff^2 + slack:
+    - by Weyl's inequality every other singular value is above cutoff;
+    - the commutators of Z's vectors, taken blockwise from the grids, have
+      Frobenius norm at most cutoff, so by Courant-Fischer the |Z| least
+      singular values are at most cutoff: the rank is the SVD rule's;
+    - the next eigenvalue leaves a gap, slack <= tol lambda_next, which
+      bounds the angle between Z's span and the exact nullspace by tol.
+    """
+    n = sys.n
+    lam, vecs = np.linalg.eigh(_commutation_gram(sys))
+    cutoff = tol * max(1.0, float(np.sqrt(max(lam[-1], 0.0))))
+    slack = n * n * np.finfo(np.float64).eps * max(1.0, float(lam[-1]))
+    nullity = int(np.searchsorted(lam, cutoff ** 2 + slack, side="right"))
+    if nullity < n * n and slack > tol * lam[nullity]:
+        return None
+    basis = vecs[:, :nullity].T
+    if _commutator_norm(sys, basis.reshape(-1, n, n)) > cutoff:
+        return None
+    return basis
+
+
+def _commutator_norm(sys: QuantumPermutation, mats: np.ndarray) -> float:
+    """Frobenius norm of (A (x) 1) u - u (A (x) 1) over the stack ``mats`` and every block."""
+    n, m, total = sys.n, len(mats), 0.0
+    for g in sys.grids:
+        d = g.shape[2]
+        # block (k, j) of (A (x) 1) u is sum_r A[k, r] E[r, j]; of u (A (x) 1), sum_s E[k, s] A[s, j]
+        left = (mats.reshape(-1, n) @ g.reshape(n, -1)).reshape(m, n, n, d, d)
+        right = np.matmul(g.transpose(0, 2, 3, 1).reshape(-1, n), mats).reshape(m, n, d, d, n)
+        total += float(np.linalg.norm(left - right.transpose(0, 1, 4, 2, 3)) ** 2)
+    return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -383,7 +457,8 @@ def fix_equivalence_check(sys: QuantumPermutation, tol: float = DEFAULT_TOL) -> 
     the induced channel, via both the (Phi - id) eigenspace and the
     joint commutant of Kraus operators, and (3) the span of the pattern
     partition.  The report records dimension agreement and mutual
-    containment residuals of all the spans.
+    containment residuals of all the spans; routes that disagree near the
+    threshold fail those lines rather than raise.
     """
     induced = induced_density(sys, tol)
     rep = Report("qperm fixpoints")
@@ -393,7 +468,7 @@ def fix_equivalence_check(sys: QuantumPermutation, tol: float = DEFAULT_TOL) -> 
     pattern = fixed_pattern_basis(sys, tol)
     s3 = list(pattern.basis)
 
-    # s1, s2a and s2b are rows of a nullspace's V*, already orthonormal;
+    # s1 (Gram eigenvectors or rows of V*), s2a and s2b (rows of V*) are orthonormal;
     # s3 holds disjoint 0/1 indicators, orthonormal once each is scaled
     q1, q2a, q2b, q3 = (np.reshape(s, (-1, sys.n ** 2)) for s in (s1, s2a, s2b, s3))
     q3 = q3 / np.sqrt(q3.sum(axis=1, keepdims=True))

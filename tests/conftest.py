@@ -71,6 +71,14 @@ def pauli_systems(seed):
     return plain + [qperm.conjugate(s, qperm.random_unitary(rng, 4)) for s in plain]
 
 
+def rotated_block_pair(theta):
+    """block_pair(diag(1, 0), q), q the projection diag(1, 0) rotated by ``theta``:
+    near theta = 0 the commutation system has singular values of order theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return qperm.block_pair(np.diag([1.0, 0.0]), rot @ np.diag([1.0, 0.0]) @ rot.T)
+
+
 def record_nullspace_inputs(monkeypatch):
     """Wrap ``linalg.nullspace``; the returned list collects a copy of each input."""
     seen, real = [], linalg.nullspace

@@ -12,7 +12,7 @@ import pytest
 
 from bisyncgames import cli, cpmaps, densities as dn, games, qperm, serialize, vect
 
-from conftest import count_calls, infeasible_solve
+from conftest import count_calls, infeasible_solve, rotated_block_pair
 
 
 def run_cli(args):
@@ -281,6 +281,19 @@ def test_perturbed_system_is_checked_at_its_tol(tmp_path):
     code, rep = run_cli(["qperm", "intertwine", "--tol", "1e-6", "--in", str(spath),
                          "--g", str(gpath), "--h", str(hpath)])
     assert code == 0
+
+
+def test_near_threshold_fix_check_reports_the_disagreement(tmp_path):
+    # the eigenspace and the Kraus commutant differ in dimension at this tol:
+    # the cross-check reports it (exit 1) instead of failing (exit 2)
+    path = tmp_path / "rotated.json"
+    serialize.dump_json(serialize.system_to_dict(rotated_block_pair(1e-3)), str(path))
+    code, rep = run_cli(["qperm", "fixpoints", "--crosscheck", "--tol", "1e-6",
+                         "--in", str(path)])
+    assert code == 1
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == [
+        "dimensions_equal", "kraus_commutant_in_eigenspace"]
+    assert rep["artifacts"]["dimension"] == 6
 
 
 def test_kraus_form_is_checked_against_what_is_cp_accepts(tmp_path):

@@ -5,11 +5,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisyncgames import cpmaps, densities as dn, games, linalg, qperm, vect
-from bisyncgames.errors import BadInput, ShapeMismatch, UnverifiedSystem
+from bisyncgames.errors import BadInput, InternalMismatch, ShapeMismatch, UnverifiedSystem
 
-from conftest import count_calls, pauli_systems, record_nullspace_inputs, sample_systems
+from conftest import (count_calls, pauli_systems, record_nullspace_inputs,
+                      rotated_block_pair, sample_systems)
 
 
 def test_verify_classical_permutation():
@@ -474,15 +477,86 @@ def _commutation_system_by_loop(sys):
     return np.vstack(blocks)
 
 
-def test_commutation_system_matches_loop_reference(monkeypatch):
+def test_commutation_system_matches_loop_reference():
     systems = sample_systems(97, 12) + pauli_systems(97)
     assert {s.n for s in systems} >= {4, 8} and len({s.dims for s in systems}) >= 4
-    seen = record_nullspace_inputs(monkeypatch)
     for sys in systems:
-        seen.clear()
-        qperm.commutation_subspace(sys)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], _commutation_system_by_loop(sys))
+        m = _commutation_system_by_loop(sys)
+        assert np.array_equal(qperm._commutation_system(sys), m)
+        gram = qperm._commutation_gram(sys)
+        assert np.abs(gram - m.conj().T @ m).max() <= 1e-13 * max(1.0, np.abs(gram).max())
+
+
+def test_uncertified_gram_hands_nullspace_the_loop_system(monkeypatch):
+    # at theta = 1e-8 the least nonzero singular values sit near the cutoff,
+    # so the Gram route cannot decide the rank and the tall system is solved
+    sys = rotated_block_pair(1e-8)
+    seen = record_nullspace_inputs(monkeypatch)
+    qperm.commutation_subspace(sys, 1e-9)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], _commutation_system_by_loop(sys))
+
+
+_ROUTE_SYSTEMS = sample_systems(103, 12) + pauli_systems(103)
+
+
+def _assert_gram_route_matches_tall(sys, tol):
+    gram = qperm._gram_nullspace(sys, tol)
+    assert gram is not None                     # certified: no fallback
+    tall = linalg.nullspace(qperm._commutation_system(sys), tol)
+    assert len(gram) == len(tall)
+    assert linalg._containment_residual(gram, tall) <= 1e-12
+    assert linalg._containment_residual(tall, gram) <= 1e-12
+    assert np.abs(gram.conj() @ gram.T - np.eye(len(gram))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("index", range(len(_ROUTE_SYSTEMS)))
+def test_gram_route_matches_tall_route(index, tol):
+    _assert_gram_route_matches_tall(_ROUTE_SYSTEMS[index], tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, len(_ROUTE_SYSTEMS) - 1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-9, 1e-6]))
+def test_gram_route_matches_tall_route_on_conjugates(index, seed, tol):
+    sys = _ROUTE_SYSTEMS[index]
+    rng = np.random.default_rng(seed)
+    conj = qperm.conjugate(sys, [qperm.random_unitary(rng, d) for d in sys.dims])
+    _assert_gram_route_matches_tall(conj, tol)
+
+
+def _fix_outcome(fe):
+    witness = next(c.witness for c in fe.report.checks if c.name == "dimensions_equal")
+    return fe.report.passed, witness, fe.report.failed_names()
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_rotated_block_pairs_keep_the_tall_route_outcome(tol, monkeypatch):
+    tall_systems = count_calls(monkeypatch, qperm, ("_commutation_system",))
+    for theta in 10.0 ** np.arange(-9, -1.99, 0.5):
+        before = tall_systems["_commutation_system"]
+        got = _fix_outcome(qperm.fix_equivalence_check(rotated_block_pair(theta), tol))
+        if (theta, tol) == (1e-8, 1e-9):
+            assert tall_systems["_commutation_system"] == before + 1
+        with monkeypatch.context() as forced:
+            forced.setattr(qperm, "_gram_nullspace", lambda s, t: None)
+            tall = _fix_outcome(qperm.fix_equivalence_check(rotated_block_pair(theta), tol))
+        assert got == tall, theta
+
+
+def test_near_threshold_dimension_disagreement_is_reported():
+    # at theta = 1e-3 and tol 1e-6 the Kraus commutant keeps two dimensions
+    # more than the (Phi - id) eigenspace: the fix check reports it, while
+    # fixed_point_set raises
+    sys = rotated_block_pair(1e-3)
+    fe = qperm.fix_equivalence_check(sys, 1e-6)
+    assert not fe.report.passed
+    assert _fix_outcome(fe)[1] == "commutation 6, eigenspace 6, kraus_commutant 8, pattern 6"
+    assert fe.report.failed_names() == ["dimensions_equal", "kraus_commutant_in_eigenspace"]
+    m = cpmaps.phi_from_density(qperm.induced_density(sys, 1e-6), 1e-6)
+    with pytest.raises(InternalMismatch, match="eigenspace dimension 6 != Kraus"):
+        cpmaps.fixed_point_set(m, 1e-6)
 
 
 @pytest.mark.parametrize("index", range(4))
