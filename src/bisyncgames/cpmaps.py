@@ -40,6 +40,8 @@ class ChoiMap:
         c = np.array(self.choi, dtype=np.complex128)
         if c.shape != (self.n * self.k, self.n * self.k):
             raise ShapeMismatch("Choi matrix must be (n k) x (n k)")
+        if not np.isfinite(c).all():
+            raise BadInput("Choi matrix entries must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "choi", c)
         object.__setattr__(self, "_eig", None)  # see _choi_eig

@@ -54,7 +54,11 @@ class Density:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
+        arr = np.asarray(self.p)
+        # refused, not cast: numpy would drop an imaginary part behind a warning
+        if arr.dtype.kind not in "buif":
+            raise BadInput(f"density entries must be bool, int or float, not {arr.dtype}")
+        arr = arr.astype(float, copy=False)
         if arr.ndim != 4 or min(arr.shape) < 1:
             raise ShapeMismatch("density tensor must have four indices")
         object.__setattr__(self, "p", arr)
@@ -171,12 +175,11 @@ def compose(q: Density, p: Density) -> Density:
 def _atom_coordinates(atoms, k: int) -> np.ndarray:
     """Flat coordinates of the ones of deterministic densities.
 
-    ``atoms`` is an (m, n) array holding one map f: [n] -> [k] per row.
+    ``atoms`` is an (m, n) intp array holding one map f: [n] -> [k] per row.
     Row j of the (m, n*n) result lists ((x*n + y)*k + f[x])*k + f[y]
     for (x, y) in row-major order: the entries of p[x, y, a, b] =
     [a = f(x)][b = f(y)] that equal one.
     """
-    atoms = np.asarray(atoms, dtype=np.intp)
     m, n = atoms.shape
     xy = np.arange(n * n).reshape(n, n)
     return ((xy * k + atoms[:, :, None]) * k + atoms[:, None, :]).reshape(m, n * n)
@@ -222,15 +225,12 @@ def _atom_scores(functional, idx) -> np.ndarray:
 
 def from_permutation(sigma) -> Density:
     """Deterministic density of a permutation: p(a, b | x, y) = [a = s(x)][b = s(y)]."""
-    sigma = as_permutation(sigma)
-    return Density(_atom_mixture([sigma], [1.0], len(sigma)))
+    return mixture_density(PermutationMixture([1.0], (sigma,)))
 
 
 def from_response_function(f, k: int) -> Density:
     """Deterministic density of a shared response function [n] -> [k]."""
-    f = list(f)
-    check_response_values(f, k)
-    return Density(_atom_mixture([f], [1.0], k))
+    return response_mixture_density(ResponseMixture([1.0], (f,), k))
 
 
 def _convex_weights(weights, count: int, what: str) -> np.ndarray:
@@ -245,17 +245,40 @@ def _convex_weights(weights, count: int, what: str) -> np.ndarray:
     return w
 
 
-def _int_rows(rows):
-    """``rows`` as an (m, n) int array, or None when they differ in length
-    or overflow it, and as a tuple of tuples of ints (int() of each value)."""
+def _keep_atoms(mix, field: str, k: int | None = None):
+    """Check a mixture's weights (:func:`_convex_weights`), then its atoms, the rows in ``field``.
+
+    Each row must permute 0..n-1 (``field`` "permutations") or map into
+    0..k-1 ("functions"), n being the length of the first row.  Only if
+    one fails, or the rows differ in length or overflow intp, are they
+    read again as tuples of ints to raise the first bad row's error (for
+    functions, every length is checked before any value).  The atoms are
+    kept as one read-only (m, n) intp array, ``_atoms``, and ``field``
+    as its rows, a tuple of tuples of ints.
+    """
+    rows = getattr(mix, field)
     rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    perms = field == "permutations"
+    w = _convex_weights(mix.weights, len(rows), "permutation" if perms else "function")
     try:
-        arr = np.array(rows, dtype=np.intp)
+        atoms = np.array(rows, dtype=np.intp)
     except (ValueError, OverflowError):
-        arr = None
-    if arr is not None and arr.ndim == 2:
-        return arr, tuple(map(tuple, arr.tolist()))
-    return None, tuple(tuple(int(v) for v in s) for s in rows)
+        atoms = None
+    if atoms is None or atoms.ndim != 2 or not (
+            (np.sort(atoms, axis=1) == np.arange(atoms.shape[1])).all() if perms
+            else ((atoms >= 0) & (atoms < k)).all()):
+        rows, n = [tuple(int(v) for v in row) for row in rows], len(rows[0])
+        if not perms and any(len(f) != n for f in rows):
+            raise ShapeMismatch(f"each function must take the {n} inputs 0..{n - 1}")
+        for row in rows:
+            if perms:
+                as_permutation(row, n)
+            else:
+                check_response_values(row, k)
+    atoms.setflags(write=False)
+    object.__setattr__(mix, "weights", w)
+    object.__setattr__(mix, field, tuple(map(tuple, atoms.tolist())))
+    object.__setattr__(mix, "_atoms", atoms)
 
 
 def mixture(ds, weights) -> Density:
@@ -302,57 +325,44 @@ def noncp_nonsignalling_example() -> Density:
 
 @dataclass(frozen=True)
 class PermutationMixture:
-    """Convex combination of permutations of [n]."""
+    """Convex combination of permutations of [n], given as rows of ints (:func:`_keep_atoms`)."""
 
     weights: np.ndarray
     permutations: tuple
 
     def __post_init__(self):
-        arr, perms = _int_rows(self.permutations)
-        w = _convex_weights(self.weights, len(perms), "permutation")
-        n = len(perms[0])
-        # the rows that may be bad, in order; the first bad one raises
-        suspects = (range(len(perms)) if arr is None
-                    else np.flatnonzero((np.sort(arr, axis=1) != np.arange(n)).any(axis=1)))
-        for j in suspects:
-            as_permutation(perms[j], n)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "permutations", perms)
+        _keep_atoms(self, "permutations")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __post_init__: the kept array stays read-only
+        return type(self), (self.weights, self._atoms)
 
     @property
     def n(self) -> int:
-        return len(self.permutations[0])
+        return self._atoms.shape[1]
 
 
 def mixture_density(mix: PermutationMixture) -> Density:
-    return Density(_atom_mixture(mix.permutations, mix.weights, mix.n))
+    return Density(_atom_mixture(mix._atoms, mix.weights, mix.n))
 
 
 @dataclass(frozen=True)
 class ResponseMixture:
-    """Convex combination of shared response functions [n] -> [k]."""
+    """Convex combination of shared response functions [n] -> [k], kept as permutations are."""
 
     weights: np.ndarray
     functions: tuple
     k: int
 
     def __post_init__(self):
-        arr, funcs = _int_rows(self.functions)
-        w = _convex_weights(self.weights, len(funcs), "function")
-        n = len(funcs[0])
-        if arr is None and any(len(f) != n for f in funcs):
-            raise ShapeMismatch(f"each function must take the {n} inputs 0..{n - 1}")
-        # the rows that may be bad, in order; the first bad one raises
-        suspects = (range(len(funcs)) if arr is None
-                    else np.flatnonzero(((arr < 0) | (arr >= self.k)).any(axis=1)))
-        for j in suspects:
-            check_response_values(funcs[j], self.k)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "functions", funcs)
+        _keep_atoms(self, "functions", self.k)
+
+    def __reduce__(self):
+        return type(self), (self.weights, self._atoms, self.k)
 
 
 def response_mixture_density(mix: ResponseMixture) -> Density:
-    return Density(_atom_mixture(mix.functions, mix.weights, mix.k))
+    return Density(_atom_mixture(mix._atoms, mix.weights, mix.k))
 
 
 @dataclass(frozen=True)
@@ -522,7 +532,9 @@ def _highs_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options):
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
     lp.num_row_ = lp.a_matrix_.num_row_ = row_bounds[0].size
     lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a_rows
+    start, index, lp.a_matrix_.value_ = a_rows
+    # the binding copies a list of ints into its index vectors faster than an int array
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = start.tolist(), index.tolist()
     lp.col_cost_ = c
     lp.row_lower_, lp.row_upper_ = row_bounds
     lp.col_lower_, lp.col_upper_ = col_bounds
@@ -735,9 +747,8 @@ def _decide_membership(family, d, tol, wrap):
 
     def checked(atoms, idx, support, weights):
         """(the mixture as a verdict if it is within ``tol`` on every coordinate, its error)."""
-        kept = atoms[support]
         err = float(np.abs(_coordinate_mixture(idx[support], weights, d.p.shape) - d.p).max())
-        return (wrap(weights, tuple(map(tuple, kept.tolist()))) if err <= tol else None), err
+        return (wrap(weights, atoms[support]) if err <= tol else None), err
 
     @functools.cache
     def coordinate_orbit():
@@ -825,8 +836,7 @@ def local_bisync_membership(d: Density, tol: float = DEFAULT_TOL):
         raise PreconditionFailed("need n inputs and n outputs for both players")
     if not _bisynchronous(d, tol):
         raise PreconditionFailed("density must be bisynchronous")
-    return _decide_membership("permutations", d, tol,
-                              lambda w, kept: PermutationMixture(w, kept))
+    return _decide_membership("permutations", d, tol, PermutationMixture)
 
 
 def local_sync_membership(d: Density, tol: float = DEFAULT_TOL):
@@ -839,9 +849,7 @@ def local_sync_membership(d: Density, tol: float = DEFAULT_TOL):
         raise PreconditionFailed("density must be valid")
     if not _synchronous(d, tol):
         raise PreconditionFailed("density must be synchronous")
-    k = d.kA
-    return _decide_membership("responses", d, tol,
-                              lambda w, kept: ResponseMixture(w, kept, k))
+    return _decide_membership("responses", d, tol, functools.partial(ResponseMixture, k=d.kA))
 
 
 def separation_margins(d: Density, cert: Infeasible):

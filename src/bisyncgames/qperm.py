@@ -51,10 +51,10 @@ class ProjectiveSystem:
         weights = tuple(float(w) for w in self.weights)
         if not grids or len(grids) != len(weights):
             raise BadInput("need one weight per ancilla block")
-        n, k = grids[0].shape[0], grids[0].shape[1]
         for g in grids:
-            if g.ndim != 4 or g.shape[:2] != (n, k) or g.shape[2] != g.shape[3]:
-                raise BadInput("each block must be an (n, k, d, d) array")
+            if (g.ndim != 4 or g.shape[:2] != grids[0].shape[:2] or g.shape[2] != g.shape[3]
+                    or g.size == 0):
+                raise BadInput("each block must be an (n, k, d, d) array, with n, k, d >= 1")
             g.flags.writeable = False
         if not np.isfinite(weights).all():
             raise BadInput("block weights must be finite")
@@ -182,13 +182,9 @@ def from_permutation(sigma) -> QuantumPermutation:
 
 def direct_sum(u1: ProjectiveSystem, u2: ProjectiveSystem,
                w1: float, w2: float) -> ProjectiveSystem:
-    """Ancilla direct sum with trace weights (w1, w2)."""
+    """Ancilla direct sum with trace weights (w1, w2), checked as block weights."""
     if (u1.n, u1.k) != (u2.n, u2.k):
         raise BadInput("summands must share input and output counts")
-    if not np.isfinite([w1, w2]).all():
-        raise BadInput("weights must be finite")
-    if w1 <= 0 or w2 <= 0 or abs(w1 + w2 - 1.0) > 1e-9:
-        raise BadInput("weights must be positive and sum to one")
     grids = u1.grids + u2.grids
     weights = tuple(w1 * w for w in u1.weights) + tuple(w2 * w for w in u2.weights)
     return ProjectiveSystem(grids, weights)
@@ -276,11 +272,7 @@ def intertwines(sys: QuantumPermutation, g: Graph, h: Graph,
     ensure_verified(sys, tol)
     ag = g.adjacency.astype(np.complex128)
     ah = h.adjacency.astype(np.complex128)
-    dev = 0.0
-    for grid, big in zip(sys.grids, big_matrices(sys)):
-        d = grid.shape[2]
-        eye = np.eye(d)
-        dev = max(dev, norm_max(kron(ag, eye) @ big - big @ kron(ah, eye)))
+    dev = norm_max(_commutators(sys, ag[None], ah[None]))
     if not within(dev, tol, *sys.grids):
         return False
     phi_ag = factorizable_apply(sys, ag, tol)
@@ -371,16 +363,9 @@ def commutation_subspace(sys: QuantumPermutation,
 
 
 def _commutation_system(sys: QuantumPermutation) -> np.ndarray:
-    """M: column (r, s) is vec((e_rs (x) 1) u - u (e_rs (x) 1)), the blocks stacked."""
+    """M: column (r, s) is the commutators (:func:`_commutators`) of the unit matrix e_rs."""
     n = sys.n
-    # Column (r, s): block (k, j) is [k = r] E[s, j] - [j = s] E[k, r]; axes (k, p, j, q, r, s).
-    diag, blocks = np.arange(n), []
-    for g in sys.grids:
-        block = np.zeros((n, g.shape[2]) * 2 + (n, n), dtype=np.complex128)
-        block[diag, :, :, :, diag, :] = g.transpose(2, 1, 3, 0)
-        block[:, :, diag, :, :, diag] -= g.transpose(0, 2, 3, 1)
-        blocks.append(block.reshape(-1, n * n))
-    return np.vstack(blocks)
+    return _commutators(sys, np.eye(n * n).reshape(n * n, n, n)).T
 
 
 def _commutation_gram(sys: QuantumPermutation) -> np.ndarray:
@@ -422,21 +407,26 @@ def _gram_nullspace(sys: QuantumPermutation, tol: float):
     if nullity < n * n and slack > tol * lam[nullity]:
         return None
     basis = vecs[:, :nullity].T
-    if _commutator_norm(sys, basis.reshape(-1, n, n)) > cutoff:
+    if np.linalg.norm(_commutators(sys, basis.reshape(-1, n, n))) > cutoff:
         return None
     return basis
 
 
-def _commutator_norm(sys: QuantumPermutation, mats: np.ndarray) -> float:
-    """Frobenius norm of (A (x) 1) u - u (A (x) 1) over the stack ``mats`` and every block."""
-    n, m, total = sys.n, len(mats), 0.0
+def _commutators(sys: QuantumPermutation, mats: np.ndarray, right=None) -> np.ndarray:
+    """(A (x) 1) u - u (B (x) 1) for each A of the stack ``mats``, one row each.
+
+    B is the matching matrix of the stack ``right``, by default A itself.
+    A row holds every block's difference in row-major order, the blocks stacked.
+    """
+    n, m, rows = sys.n, len(mats), []
+    right = mats if right is None else right
     for g in sys.grids:
         d = g.shape[2]
-        # block (k, j) of (A (x) 1) u is sum_r A[k, r] E[r, j]; of u (A (x) 1), sum_s E[k, s] A[s, j]
-        left = (mats.reshape(-1, n) @ g.reshape(n, -1)).reshape(m, n, n, d, d)
-        right = np.matmul(g.transpose(0, 2, 3, 1).reshape(-1, n), mats).reshape(m, n, d, d, n)
-        total += float(np.linalg.norm(left - right.transpose(0, 1, 4, 2, 3)) ** 2)
-    return float(np.sqrt(total))
+        # block (k, j) of (A (x) 1) u is sum_r A[k, r] E[r, j]; of u (B (x) 1), sum_s E[k, s] B[s, j]
+        au = (mats.reshape(-1, n) @ g.reshape(n, -1)).reshape(m, n, n, d, d)
+        ub = np.matmul(g.transpose(0, 2, 3, 1).reshape(-1, n), right).reshape(m, n, d, d, n)
+        rows.append((au.transpose(0, 1, 3, 2, 4) - ub.transpose(0, 1, 2, 4, 3)).reshape(m, -1))
+    return np.hstack(rows)
 
 
 @dataclass(frozen=True)

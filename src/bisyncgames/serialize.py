@@ -161,10 +161,7 @@ def mixture_to_dict(m: PermutationMixture) -> dict:
 def mixture_from_dict(d: dict) -> PermutationMixture:
     with _reading("mixture"):
         n = int(d["n"])
-        mix = PermutationMixture(
-            np.asarray(d["weights"], dtype=float),
-            tuple(tuple(int(v) for v in s) for s in d["permutations"]),
-        )
+        mix = PermutationMixture(np.asarray(d["weights"], dtype=float), d["permutations"])
     if mix.n != n:
         raise BadInput(f"mixture permutes {mix.n} points, header says n = {n}")
     return mix

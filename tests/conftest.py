@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -37,6 +38,15 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def raises_quietly(error, build):
+    """``build()`` raises ``error``, and no warning is emitted on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error):
+            build()
+    assert [str(w.message) for w in caught] == []
 
 
 _highs_solve = densities._highs_solve

@@ -18,7 +18,7 @@ from bisyncgames.errors import (
     ShapeMismatch,
 )
 
-from conftest import count_calls, sample_systems
+from conftest import count_calls, raises_quietly, sample_systems
 
 
 def unit(i, j, d):
@@ -517,3 +517,11 @@ def test_kraus_set_needs_operators_of_one_shape(rng):
         cpmaps.KrausSet((rng.normal(size=(2, 3)), rng.normal(size=(3, 2))))
     with pytest.raises(ShapeMismatch, match="must be 2 x 2"):
         cpmaps.KrausSet((rng.normal(size=(2, 3)),)).apply(np.eye(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_choi_map_of_non_finite_entries_is_bad_input(value):
+    c = cpmaps.identity_map(2).choi.copy()
+    c[0, 1] = value
+    raises_quietly(BadInput, lambda: cpmaps.ChoiMap(2, 2, c))
+    raises_quietly(BadInput, lambda: cpmaps.choi_from_tensor(np.full((2, 2, 2, 2), value)))

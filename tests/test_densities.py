@@ -1,7 +1,10 @@
+import copy
 import dataclasses
+import importlib
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -26,7 +29,7 @@ from bisyncgames.errors import (
     TooLarge,
 )
 
-from conftest import infeasible_solve
+from conftest import infeasible_solve, raises_quietly
 
 
 def test_uniform_validates():
@@ -1719,3 +1722,164 @@ def test_symmetries_are_found_once_per_verdict_and_only_for_an_lp(monkeypatch):
     d = random_permutation_mixture(np.random.default_rng(7), 7, 6)
     assert isinstance(dn.local_bisync_membership(d), dn.PermutationMixture)
     assert lps == [] and found == []
+
+
+# ---------------------------------------------------------------------------
+# A mixture keeps its atoms as one read-only int array
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def spy_mixtures(monkeypatch):
+    """Record the (weights, atoms) each verdict hands a mixture constructor."""
+    handed = []
+
+    class Permutations(dn.PermutationMixture):
+        def __post_init__(self):
+            handed.append((self.weights, self.permutations))
+            super().__post_init__()
+
+    class Responses(dn.ResponseMixture):
+        def __post_init__(self):
+            handed.append((self.weights, self.functions))
+            super().__post_init__()
+
+    monkeypatch.setattr(dn, "PermutationMixture", Permutations)
+    monkeypatch.setattr(dn, "ResponseMixture", Responses)
+    return handed
+
+
+def verdict_inputs(source, monkeypatch):
+    """(family, density) pairs: U_n for "U5".."U8", or one benchmark decide round of a seed."""
+    if source.startswith("U"):
+        return [("permutations", dn.Density(closed_form_uniform(int(source[1:]))))]
+    monkeypatch.syspath_prepend(PERFBENCH)
+    round_items = importlib.import_module("workloads").decide_round(int(source.split()[1]), 0)
+    return [(item["family"], item["density"]) for item in round_items]
+
+
+@pytest.mark.parametrize("source", ["U5", "U6", "U7", "U8", "round 7", "round 202"])
+def test_verdict_mixtures_match_the_tuple_route(source, monkeypatch):
+    # the reference is the tuple route: the atoms handed over as tuples of
+    # ints from tolist(), and the tensor rebuilt from those tuples; the
+    # mixture and its tensor must come out the same, bit for bit
+    handed = spy_mixtures(monkeypatch)
+    mixtures = []
+    for family, d in verdict_inputs(source, monkeypatch):
+        res = (dn.local_bisync_membership(d) if family == "permutations"
+               else dn.local_sync_membership(d))
+        if not isinstance(res, dn.Infeasible):
+            mixtures.append(res)
+    assert len(handed) == len(mixtures) > 0
+    if source.startswith("U"):
+        # U_n is one orbit: every permutation, in the table's lexicographic
+        # order, with one weight
+        n = int(source[1:])
+        assert mixtures[0].permutations == tuple(itertools.permutations(range(n)))
+        assert len(set(mixtures[0].weights.tolist())) == 1
+        assert abs(mixtures[0].weights[0] * math.factorial(n) - 1.0) <= 1e-15
+    for mix, (weights, kept) in zip(mixtures, handed):
+        assert isinstance(kept, np.ndarray)
+        rows = tuple(map(tuple, kept.tolist()))
+        k = mix.n if isinstance(mix, dn.PermutationMixture) else mix.k
+        atoms = mix.permutations if isinstance(mix, dn.PermutationMixture) else mix.functions
+        rebuild = (dn.mixture_density if isinstance(mix, dn.PermutationMixture)
+                   else dn.response_mixture_density)
+        assert mix.weights.tobytes() == np.asarray(weights, dtype=float).tobytes()
+        assert atoms == rows and type(atoms[0][0]) is int
+        by_tuples = dn._atom_mixture(np.asarray(rows, dtype=np.intp), weights, k)
+        assert rebuild(mix).p.tobytes() == by_tuples.tobytes()
+
+
+def test_mixture_density_equals_the_tuple_built_tensor():
+    rng = np.random.default_rng(3)
+    perms = tuple(tuple(int(v) for v in rng.permutation(6)) for _ in range(9))
+    funcs = tuple(tuple(int(v) for v in rng.integers(3, size=5)) for _ in range(9))
+    w = rng.dirichlet(np.ones(9))
+    by_tuples = sum(wi * dn.from_permutation(s).p for wi, s in zip(w, perms))
+    assert np.allclose(dn.mixture_density(dn.PermutationMixture(w, perms)).p, by_tuples)
+    for rows in (perms, np.array(perms), np.array(perms, dtype=np.int8)):
+        mix = dn.PermutationMixture(w, rows)
+        assert mix.permutations == perms
+        assert (dn.mixture_density(mix).p.tobytes()
+                == dn._atom_mixture(np.asarray(perms, dtype=np.intp), w, 6).tobytes())
+    for rows in (funcs, np.array(funcs)):
+        mix = dn.ResponseMixture(w, rows, 3)
+        assert mix.functions == funcs
+        assert (dn.response_mixture_density(mix).p.tobytes()
+                == dn._atom_mixture(np.asarray(funcs, dtype=np.intp), w, 3).tobytes())
+
+
+@pytest.mark.parametrize("family", ["permutations", "responses"])
+def test_kept_atoms_are_read_only_through_copies(family):
+    rows = np.array([[1, 0, 2], [2, 1, 0]])
+    if family == "permutations":
+        mix, rebuild = dn.PermutationMixture(np.array([0.25, 0.75]), rows), dn.mixture_density
+    else:
+        mix = dn.ResponseMixture(np.array([0.25, 0.75]), rows, 3)
+        rebuild = dn.response_mixture_density
+    rows[0, 0] = 7      # the caller's array, not the mixture's
+    assert rows.flags.writeable
+    before = rebuild(mix).p
+    for other in (mix, copy.copy(mix), copy.deepcopy(mix), pickle.loads(pickle.dumps(mix))):
+        assert type(other) is type(mix)
+        assert other._atoms.dtype == np.intp and not other._atoms.flags.writeable
+        with pytest.raises(ValueError):
+            other._atoms[0, 0] = 0
+        assert other._atoms.tolist() == [[1, 0, 2], [2, 1, 0]]
+        assert dataclasses.astuple(other)[1] == ((1, 0, 2), (2, 1, 0))
+        assert np.array_equal(other.weights, mix.weights)
+        assert rebuild(other).p.tobytes() == before.tobytes()
+
+
+# the messages the two families gave before the kept array, rows first then weights
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: dn.PermutationMixture([0.5, 0.5], ((0, 1), (1, 0, 2))),
+     NotBijective, "[1, 0, 2] is not a permutation of 0..1"),
+    (lambda: dn.PermutationMixture([0.5, 0.5], ((0, 1, 2), (1, 0))),
+     NotBijective, "[1, 0] is not a permutation of 0..2"),
+    (lambda: dn.PermutationMixture([0.5, 0.5], ((0, 1), (2 ** 70, 0))),
+     NotBijective, "[1180591620717411303424, 0] is not a permutation of 0..1"),
+    (lambda: dn.PermutationMixture([0.5, 0.5], ((0, 1), (-1, 0))),
+     NotBijective, "[-1, 0] is not a permutation of 0..1"),
+    (lambda: dn.PermutationMixture([0.5, 0.5], ((1, 1), (0, 1, 2))),
+     NotBijective, "[1, 1] is not a permutation of 0..1"),
+    (lambda: dn.PermutationMixture([0.7, 0.7], ((0, 1), (1, 1))),
+     BadWeights, "weights must be nonnegative and sum to one"),
+    (lambda: dn.ResponseMixture([0.5, 0.5], ((0, 1), (1,)), 2),
+     ShapeMismatch, "each function must take the 2 inputs 0..1"),
+    (lambda: dn.ResponseMixture([0.5, 0.5], ((0, 2), (1,)), 2),
+     ShapeMismatch, "each function must take the 2 inputs 0..1"),
+    (lambda: dn.ResponseMixture([0.5, 0.5], ((0, 1), (2 ** 70, 0)), 2),
+     ShapeMismatch, "response values must lie in 0..k-1"),
+    (lambda: dn.ResponseMixture([0.5, 0.5], ((0, 1), (1, -1)), 2),
+     ShapeMismatch, "response values must lie in 0..k-1"),
+    (lambda: dn.ResponseMixture([0.5, 0.5], ((0, 2), (1, 0)), 2),
+     ShapeMismatch, "response values must lie in 0..k-1"),
+    (lambda: dn.ResponseMixture([1.0], ((0, 5), (1, 0)), 2),
+     BadWeights, "need one weight per function"),
+])
+def test_bad_rows_keep_their_error_and_message(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("p", [
+    np.full((1, 1, 1, 1), 1.0 + 0.5j),
+    np.full((1, 1, 1, 1), 1.0 + 0j),
+    np.array([[[["a"]]]]),
+    np.array([[[["1.0"]]]]),
+    np.array([[[[1.0]]]], dtype=object),
+    np.array([[[["a"]]]], dtype=object),
+    [[[[1, 1j]]]],
+])
+def test_density_of_a_non_real_array_is_bad_input(p):
+    raises_quietly(BadInput, lambda: dn.Density(p))
+
+
+def test_density_of_bools_ints_or_floats_and_nan_as_invalid():
+    for p in ([[[[1]]]], np.ones((1, 1, 1, 1), dtype=bool), np.ones((1, 1, 1, 1), np.float32)):
+        d = dn.Density(p)
+        assert d.p.dtype == float and dn.validate(d)
+    assert not dn.validate(dn.Density(np.full((1, 1, 1, 1), np.nan)))

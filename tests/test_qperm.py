@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bisyncgames import cpmaps, densities as dn, games, linalg, qperm, vect
 from bisyncgames.errors import BadInput, InternalMismatch, ShapeMismatch, UnverifiedSystem
 
-from conftest import (count_calls, pauli_systems, record_nullspace_inputs,
+from conftest import (count_calls, pauli_systems, raises_quietly, record_nullspace_inputs,
                       rotated_block_pair, sample_systems)
 
 
@@ -497,6 +497,23 @@ def test_uncertified_gram_hands_nullspace_the_loop_system(monkeypatch):
     assert np.array_equal(seen[0], _commutation_system_by_loop(sys))
 
 
+def test_commutators_of_any_stacks_match_the_kron_reference(rng):
+    # the fallback system, the Gram certificate and intertwines all read
+    # this one map: (A (x) 1) u - u (B (x) 1), with B = A by default
+    for sys in sample_systems(97, 4) + pauli_systems(97)[2:]:
+        n = sys.n
+        left, right = (rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+                       for _ in range(2))
+        for got, rights in ((qperm._commutators(sys, left), left),
+                            (qperm._commutators(sys, left, right), right)):
+            for a, b, row in zip(left, rights, got):
+                ref = []
+                for g, big in zip(sys.grids, qperm.big_matrices(sys)):
+                    eye = np.eye(g.shape[2])
+                    ref.append((linalg.kron(a, eye) @ big - big @ linalg.kron(b, eye)).reshape(-1))
+                assert np.abs(row - np.concatenate(ref)).max() <= 1e-12 * np.abs(left).max()
+
+
 _ROUTE_SYSTEMS = sample_systems(103, 12) + pauli_systems(103)
 
 
@@ -578,3 +595,8 @@ def test_conjugate_and_factorizable_apply_reject_vectors():
         qperm.conjugate(s, np.zeros(3))
     with pytest.raises(ShapeMismatch, match="nonempty 2-D matrix"):
         qperm.factorizable_apply(s, np.zeros(4))
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 1, 1), (1, 0, 1, 1), (2, 2, 0, 0), (3,), (2, 2, 1)])
+def test_projective_system_of_empty_or_misshapen_blocks_is_bad_input(shape):
+    raises_quietly(BadInput, lambda: qperm.ProjectiveSystem((np.zeros(shape),), (1.0,)))
