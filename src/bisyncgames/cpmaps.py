@@ -37,11 +37,9 @@ class ChoiMap:
     choi: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.choi, dtype=np.complex128)
+        c = linalg.numeric_array(self.choi, "Choi matrix").astype(np.complex128)
         if c.shape != (self.n * self.k, self.n * self.k):
             raise ShapeMismatch("Choi matrix must be (n k) x (n k)")
-        if not np.isfinite(c).all():
-            raise BadInput("Choi matrix entries must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "choi", c)
         object.__setattr__(self, "_eig", None)  # see _choi_eig
@@ -193,6 +191,7 @@ def min_choi_eigenvalue(m: ChoiMap, tol: float = DEFAULT_TOL) -> float:
 
 def channel_report(m: ChoiMap, tol: float = DEFAULT_TOL) -> Report:
     """All channel-property checks in a fixed order."""
+    linalg.check_tol(tol)
     rep = Report("map check")
     rep.add("hermiticity_preserving", *_check(m, "hermiticity_preserving", tol))
     cp, margin = _cp_with_margin(m, tol)

@@ -9,7 +9,11 @@ programming over deterministic strategies.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,7 @@ from .games import (
     check_response_values,
     forbidden_positions,
 )
-from .linalg import DEFAULT_TOL, within
+from .linalg import DEFAULT_TOL, check_tol, numeric_array, within
 from .report import Report
 
 # HiGHS feasibility tolerances for every membership LP: at its defaults
@@ -54,11 +58,8 @@ class Density:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p)
-        # refused, not cast: numpy would drop an imaginary part behind a warning
-        if arr.dtype.kind not in "buif":
-            raise BadInput(f"density entries must be bool, int or float, not {arr.dtype}")
-        arr = arr.astype(float, copy=False)
+        # NaN and inf are kept: validate reports them
+        arr = numeric_array(self.p, "density", real=True, finite=False).astype(float, copy=False)
         if arr.ndim != 4 or min(arr.shape) < 1:
             raise ShapeMismatch("density tensor must have four indices")
         object.__setattr__(self, "p", arr)
@@ -86,6 +87,7 @@ class Density:
 
 def validation_report(d: Density, tol: float = DEFAULT_TOL) -> Report:
     """Nonnegativity and per-(x, y) normalization, with witnesses."""
+    check_tol(tol)
     rep = Report("density validate")
     neg = -float(d.p.min())
     witness = None
@@ -252,7 +254,8 @@ def _keep_atoms(mix, field: str, k: int | None = None):
     0..k-1 ("functions"), n being the length of the first row.  Only if
     one fails, or the rows differ in length or overflow intp, are they
     read again as tuples of ints to raise the first bad row's error (for
-    functions, every length is checked before any value).  The atoms are
+    functions, every length is checked before any value); a row that is
+    not a sequence of ints, as a flat row, raises ``BadInput``.  The atoms are
     kept as one read-only (m, n) intp array, ``_atoms``, and ``field``
     as its rows, a tuple of tuples of ints.
     """
@@ -262,12 +265,16 @@ def _keep_atoms(mix, field: str, k: int | None = None):
     w = _convex_weights(mix.weights, len(rows), "permutation" if perms else "function")
     try:
         atoms = np.array(rows, dtype=np.intp)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         atoms = None
     if atoms is None or atoms.ndim != 2 or not (
             (np.sort(atoms, axis=1) == np.arange(atoms.shape[1])).all() if perms
             else ((atoms >= 0) & (atoms < k)).all()):
-        rows, n = [tuple(int(v) for v in row) for row in rows], len(rows[0])
+        try:
+            rows = [tuple(int(v) for v in row) for row in rows]
+        except (TypeError, ValueError):
+            raise BadInput(f"each {field[:-1]} must be a sequence of ints") from None
+        n = len(rows[0])
         if not perms and any(len(f) != n for f in rows):
             raise ShapeMismatch(f"each function must take the {n} inputs 0..{n - 1}")
         for row in rows:
@@ -492,6 +499,35 @@ def _membership_lp(system, p, coordinate_orbit):
 
 
 @functools.cache
+def _highs():
+    """scipy's bundled HiGHS extension, ``scipy.optimize._highspy._core``, loaded once.
+
+    Importing it by name would import ``scipy.optimize`` (some 570 modules,
+    0.3 s and 40 MB cold), so the extension file is found in scipy's
+    directory, which ``find_spec("scipy")`` reports without importing
+    scipy, and loaded alone.  It is entered in ``sys.modules`` under its
+    full name before it runs, so a later ``import scipy.optimize`` reuses
+    it; if scipy.optimize loaded it first, that module is returned.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    dirs = [os.path.join(d, "optimize", "_highspy")
+            for d in importlib.util.find_spec("scipy").submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"no {name} in {dirs}: the membership LP needs scipy >= 1.15")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+@functools.cache
 def _highs_options():
     """The HiGHS options of every membership LP, built once per process and never changed.
 
@@ -500,8 +536,7 @@ def _highs_options():
     into its own HiGHS instance and sets its iteration limit there
     (:func:`_highs_solve`).
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     options = highs.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -526,8 +561,7 @@ def _highs_solve(c, a_rows, row_bounds, col_bounds, iteration_limit, options):
     solve: a NaN, or a bound of x or of a row missed by more than
     ``_LP_CHECK_TOL``.
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
     lp.num_row_ = lp.a_matrix_.num_row_ = row_bounds[0].size

@@ -10,17 +10,51 @@ system (1024 x 64 at n = 8, d = 4) to :func:`nullspace` only when that fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalMismatch, NotHermitian, ShapeMismatch
+from .errors import BadInput, InternalMismatch, NotHermitian, ShapeMismatch
 
 DEFAULT_TOL = 1e-9
 
 # Reconstruction slack for the spectral decomposition, in units of
 # machine epsilon times the max-norm of the input.
 _EIG_RECONSTRUCTION_FACTOR = 1e3
+
+
+def check_tol(tol) -> None:
+    """The one rule for a caller's ``tol``: a finite number > 0, else ``BadInput``.
+
+    0 is refused, not read as "exact": every check compares deviations
+    computed in floats, which an exact input still misses by rounding.
+    """
+    try:
+        ok = math.isfinite(tol) and tol > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise BadInput(f"tol must be a finite number > 0, not {tol!r}")
+
+
+def numeric_array(a, what: str, real: bool = False, finite: bool = True) -> np.ndarray:
+    """``a`` as a numpy array of numbers, without a copy when possible; ``BadInput`` otherwise.
+
+    Refused, not cast: ragged nesting, strings and objects (numpy raises on
+    some and parses others), complex entries when ``real`` (numpy would drop
+    the imaginary part behind a warning) and, when ``finite``, NaN or ±inf.
+    """
+    try:
+        arr = np.asarray(a)
+    except ValueError:
+        raise BadInput(f"{what} must be a rectangular array of numbers") from None
+    if arr.dtype.kind not in ("buif" if real else "buifc"):
+        kinds = "bool, int or float" if real else "bool, int, float or complex"
+        raise BadInput(f"{what} entries must be {kinds}, not {arr.dtype}")
+    if finite and not np.isfinite(arr).all():
+        raise BadInput(f"{what} entries must be finite")
+    return arr
 
 
 def as_cmatrix(a) -> np.ndarray:

@@ -47,7 +47,7 @@ class ProjectiveSystem:
     weights: tuple
 
     def __post_init__(self):
-        grids = tuple(np.array(g, dtype=np.complex128) for g in self.grids)
+        grids = tuple(linalg.numeric_array(g, "grid").astype(np.complex128) for g in self.grids)
         weights = tuple(float(w) for w in self.weights)
         if not grids or len(grids) != len(weights):
             raise BadInput("need one weight per ancilla block")
@@ -111,6 +111,7 @@ def verify_system(sys: ProjectiveSystem, tol: float = DEFAULT_TOL) -> Report:
     A pass is remembered on ``sys``: :func:`ensure_verified` at this or a
     looser ``tol`` does not verify again.
     """
+    linalg.check_tol(tol)
     n, k = sys.n, sys.k
     rep = Report("qperm verify")
     proj = np.array([np.maximum(np.abs(g - dagger(g)).max(axis=(2, 3)),
@@ -158,6 +159,7 @@ def verify_system(sys: ProjectiveSystem, tol: float = DEFAULT_TOL) -> Report:
 
 
 def ensure_verified(sys: ProjectiveSystem, tol: float = DEFAULT_TOL) -> None:
+    linalg.check_tol(tol)  # before the memo, which a tol of inf would pass
     if sys._verified_tol is not None and tol >= sys._verified_tol:
         return
     rep = verify_system(sys, tol)

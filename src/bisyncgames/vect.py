@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .games import as_permutation
-from .linalg import DEFAULT_TOL, within
+from .linalg import DEFAULT_TOL, check_tol, numeric_array, within
 from .qperm import ProjectiveSystem, ensure_verified
 from .report import Report
 
@@ -33,7 +33,7 @@ class VectorStrategy:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.complex128)
+        v = numeric_array(self.vectors, "vector").astype(np.complex128, copy=False)
         if v.ndim != 3 or min(v.shape) < 1:
             raise ShapeMismatch("vectors must form an (n, k, m) array")
         object.__setattr__(self, "vectors", v)
@@ -75,6 +75,7 @@ def verify_bisync_vect(v: VectorStrategy, tol: float = DEFAULT_TOL) -> Report:
     families, (iii) every row sum and column sum equals one common
     vector h, and h is a unit vector.
     """
+    check_tol(tol)
     if v.n != v.k:
         raise ShapeMismatch("bisynchronous vector strategies need n = k")
     rep = Report("vect verify")

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -99,3 +102,11 @@ def record_nullspace_inputs(monkeypatch):
 
     monkeypatch.setattr(linalg, "nullspace", recording)
     return seen
+
+
+def fresh_python(code):
+    """stdout of ``code`` run in a fresh interpreter with the package's src/ on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(densities.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout

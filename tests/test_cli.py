@@ -2,9 +2,6 @@ import contextlib
 import io
 import itertools
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 
 import numpy as np
@@ -12,7 +9,7 @@ import pytest
 
 from bisyncgames import cli, cpmaps, densities as dn, games, qperm, serialize, vect
 
-from conftest import count_calls, infeasible_solve, rotated_block_pair
+from conftest import count_calls, fresh_python, infeasible_solve, rotated_block_pair
 
 
 def run_cli(args):
@@ -410,11 +407,7 @@ def test_cli_import_loads_no_scipy():
     # scipy is imported by the LP itself, not by importing the package
     code = ("import sys, bisyncgames.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env).stdout
-    assert out.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
 
 
 def test_sparse_local_decompose_loads_no_scipy(tmp_path):
@@ -430,11 +423,44 @@ def test_sparse_local_decompose_loads_no_scipy(tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = cli.run(['density', 'local-decompose', '--in', {str(path)!r}])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env).stdout
-    assert out.strip() == "0 []"
+    assert fresh_python(code).strip() == "0 []"
+
+
+
+def test_nonlocal_local_decompose_loads_highs_without_scipy_optimize(tmp_path):
+    # 0.6 U_6 + 0.3 sigma + 0.1 z_6 keeps no relabeling, so the LP over all
+    # 720 permutations runs; HiGHS comes from scipy's extension file alone
+    x, y, a, b = np.indices((6, 6, 6, 6))
+    u = np.where(x == y, (a == b) / 6, (a != b) / 30)
+    s = np.array([1, 3, 0, 5, 2, 4])
+    z = np.where(x == y, a == b, (a - b) % 6 == 1) / 6
+    path = tmp_path / "rows6.json"
+    serialize.dump_json(serialize.density_to_dict(
+        dn.Density(0.6 * u + 0.3 * ((a == s[x]) & (b == s[y])) + 0.1 * z)), str(path))
+    code = ("import contextlib, io, sys\n"
+            "from bisyncgames import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.run(['density', 'local-decompose', '--in', {str(path)!r}])\n"
+            "print(code, [m in sys.modules for m in ('scipy.optimize', 'scipy.sparse',"
+            " 'scipy.optimize._highspy._core')])")
+    assert fresh_python(code).strip() == "1 [False, False, True]"
+
+
+@pytest.mark.parametrize("verb, tol", [
+    ("density check", "nan"),
+    ("density local-decompose", "inf"),
+    ("map check", "-1"),
+])
+def test_bad_tol_exits_2(verb, tol, z3_path, capsys):
+    assert cli.run(verb.split() + ["--tol", tol, "--in", z3_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tol must be a finite number > 0") and "Traceback" not in err
+
+
+def test_bad_tol_on_a_system_exits_2(blockpair_path, capsys):
+    assert cli.run(["qperm", "verify", "--tol", "0", "--in", blockpair_path]) == 2
+    assert capsys.readouterr().err.startswith("error: tol must be a finite number > 0")
 
 
 def _game_json(zeros):

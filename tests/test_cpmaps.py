@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 from collections import Counter
 
@@ -525,3 +526,14 @@ def test_choi_map_of_non_finite_entries_is_bad_input(value):
     c[0, 1] = value
     raises_quietly(BadInput, lambda: cpmaps.ChoiMap(2, 2, c))
     raises_quietly(BadInput, lambda: cpmaps.choi_from_tensor(np.full((2, 2, 2, 2), value)))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_channel_report_names_a_bad_tol(tol):
+    with pytest.raises(BadInput, match="tol must be a finite number > 0"):
+        cpmaps.channel_report(cpmaps.identity_map(2), tol)
+
+
+@pytest.mark.parametrize("choi", [[["a"]], [[1.0], [1.0, 0.0]]])
+def test_choi_map_of_non_numeric_entries_is_bad_input(choi):
+    raises_quietly(BadInput, lambda: cpmaps.ChoiMap(1, 1, choi))

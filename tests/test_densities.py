@@ -29,7 +29,7 @@ from bisyncgames.errors import (
     TooLarge,
 )
 
-from conftest import infeasible_solve, raises_quietly
+from conftest import fresh_python, infeasible_solve, raises_quietly
 
 
 def test_uniform_validates():
@@ -1883,3 +1883,51 @@ def test_density_of_bools_ints_or_floats_and_nan_as_invalid():
         d = dn.Density(p)
         assert d.p.dtype == float and dn.validate(d)
     assert not dn.validate(dn.Density(np.full((1, 1, 1, 1), np.nan)))
+
+
+# ---------------------------------------------------------------------------
+# HiGHS loaded from scipy's extension file, shared with scipy.optimize
+
+_U4_VERDICT = ("import numpy as np\n"
+               "from bisyncgames import densities as dn\n"
+               "x, y, a, b = np.indices((4, 4, 4, 4))\n"
+               "u = np.where(x == y, (a == b) / 4, (a != b) / 12)\n"
+               "assert isinstance(dn.local_bisync_membership(dn.Density(u)), dn.PermutationMixture)\n")
+
+
+def test_scipy_optimize_imported_after_a_verdict_reuses_its_highs():
+    code = _U4_VERDICT + (
+        "import sys\n"
+        "loaded = dn._highs()\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "res = scipy.optimize.linprog([1, 1], A_ub=[[-1, -2]], b_ub=[-2], method='highs')\n"
+        "print(_core is loaded, res.status, res.fun)\n")
+    assert fresh_python(code).split("\n")[:2] == ["False", "True 0 1.0"]
+
+
+def test_highs_loaded_by_scipy_optimize_first_is_reused():
+    code = ("import scipy.optimize\n"
+            "from scipy.optimize._highspy import _core\n") + _U4_VERDICT + (
+        "print(dn._highs() is _core)\n")
+    assert fresh_python(code).strip() == "True"
+
+
+def test_ragged_density_list_is_bad_input():
+    raises_quietly(BadInput, lambda: dn.Density([[[[1.0]]], [[[1.0, 0.0]]]]))
+
+
+@pytest.mark.parametrize("rows", [(0, 1), [(0, 1), 1], [(0, 1), ("a", "b")], [(0, 1), (None, 0)]])
+def test_mixture_of_rows_that_are_not_int_sequences_is_bad_input(rows):
+    raises_quietly(BadInput, lambda: dn.PermutationMixture([0.5, 0.5], rows))
+    raises_quietly(BadInput, lambda: dn.ResponseMixture([0.5, 0.5], rows, 2))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_membership_names_a_bad_tol(tol):
+    # a random tensor is not a density: the tol is refused before that is found
+    d = dn.Density(np.random.default_rng(0).random((3, 3, 3, 3)))
+    for decide in (dn.validation_report, dn.local_bisync_membership, dn.local_sync_membership):
+        with pytest.raises(BadInput, match="tol must be a finite number > 0"):
+            decide(d, tol)

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisyncgames import cpmaps, linalg, qperm
-from bisyncgames.errors import NotHermitian, ShapeMismatch
+from bisyncgames.errors import BadInput, NotHermitian, ShapeMismatch
 
-from conftest import pauli_systems, random_hermitian, record_nullspace_inputs, sample_systems
+from conftest import (pauli_systems, raises_quietly, random_hermitian, record_nullspace_inputs,
+                      sample_systems)
 
 
 def unit(i, j, d):
@@ -298,3 +301,31 @@ def test_as_cmatrix_rejects_what_is_not_a_matrix(a):
 def test_joint_commutant_rejects_unequal_or_no_matrices(mats, message):
     with pytest.raises(ShapeMismatch, match=message):
         linalg.joint_commutant(mats)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -1e-9, -math.inf, math.inf, math.nan, "1e-9", None, 1j])
+def test_check_tol_refuses_all_but_a_finite_positive_number(tol):
+    with pytest.raises(BadInput, match="tol must be a finite number > 0"):
+        linalg.check_tol(tol)
+
+
+def test_check_tol_accepts_finite_positive_numbers():
+    for tol in (5e-324, 1e-9, 1, 0.5, np.float32(1e-6), 1e300):
+        linalg.check_tol(tol)
+
+
+@pytest.mark.parametrize("a, real, finite", [
+    ([[1.0], [1.0, 0.0]], False, False),
+    (np.array([["1.0"]]), False, False),
+    (np.array([[1.0]], dtype=object), False, False),
+    (np.array([[1j]]), True, False),
+    (np.array([[np.nan]]), False, True),
+    (np.array([[-np.inf]]), True, True),
+])
+def test_numeric_array_refuses_without_a_warning(a, real, finite):
+    raises_quietly(BadInput, lambda: linalg.numeric_array(a, "matrix", real, finite))
+
+
+def test_numeric_array_keeps_numbers_without_a_copy():
+    for a in (np.eye(2), np.eye(2, dtype=bool), np.eye(2, dtype=complex), np.full((1,), np.nan)):
+        assert linalg.numeric_array(a, "matrix", finite=False) is a

@@ -333,7 +333,7 @@ def test_grids_are_frozen_copies():
         sys.grids[0][0, 0, 0, 0] = 0.0
     assert qperm.verify_system(sys).passed
     g[0, 0] = 0.5      # the caller's array, not the system's
-    qperm.ensure_verified(sys, 0.0)
+    qperm.ensure_verified(sys, 1e-300)  # stricter than the pass above: verifies again
     assert sys.grids[0][0, 0, 0, 0] == 1.0
 
 
@@ -600,3 +600,24 @@ def test_conjugate_and_factorizable_apply_reject_vectors():
 @pytest.mark.parametrize("shape", [(0, 1, 1, 1), (1, 0, 1, 1), (2, 2, 0, 0), (3,), (2, 2, 1)])
 def test_projective_system_of_empty_or_misshapen_blocks_is_bad_input(shape):
     raises_quietly(BadInput, lambda: qperm.ProjectiveSystem((np.zeros(shape),), (1.0,)))
+
+
+@pytest.mark.parametrize("grid", [
+    np.array([[[["a"]]]]),
+    np.array([[[["1"]]]]),
+    [[[[1.0]]], [[[1.0, 0.0]]]],
+    np.full((1, 1, 1, 1), np.nan),
+    np.full((1, 1, 1, 1), np.inf),
+    np.full((1, 1, 1, 1), complex(1.0, -np.inf)),
+])
+def test_projective_system_of_a_non_numeric_or_non_finite_grid_is_bad_input(grid):
+    raises_quietly(BadInput, lambda: qperm.ProjectiveSystem((grid,), (1.0,)))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_system_checks_name_a_bad_tol(tol):
+    sys = qperm.from_permutation([1, 0])
+    qperm.ensure_verified(sys)   # remembered: a tol of inf must not pass the memo either
+    for check in (qperm.verify_system, qperm.ensure_verified, qperm.induced_density):
+        with pytest.raises(BadInput, match="tol must be a finite number > 0"):
+            check(sys, tol)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bisyncgames.report import Report
 
 from bisyncgames import densities as dn, qperm, vect
 from bisyncgames.errors import (
+    BadInput,
     NegativeEntry,
     NonRealGram,
     NotBijective,
@@ -12,7 +15,7 @@ from bisyncgames.errors import (
     ShapeMismatch,
 )
 
-from conftest import sample_systems
+from conftest import raises_quietly, sample_systems
 
 
 def test_permutation_witness_verifies():
@@ -175,3 +178,14 @@ def test_verify_matches_loop_reference(rng):
         assert rep.to_dict() == loop_verify_bisync_vect(v).to_dict()
         verdicts.append(rep.passed)
     assert all(verdicts[:exact]) and not all(verdicts[exact:])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, "a"])
+def test_vector_strategy_of_non_finite_or_non_numeric_entries_is_bad_input(value):
+    raises_quietly(BadInput, lambda: vect.VectorStrategy(np.full((2, 2, 1), value)))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_verify_names_a_bad_tol(tol):
+    with pytest.raises(BadInput, match="tol must be a finite number > 0"):
+        vect.verify_bisync_vect(vect.permutation_strategy([1, 0]), tol)
