@@ -126,7 +126,12 @@ _DEVIATIONS = {
 
 
 def _check(m: ChoiMap, name: str, tol: float) -> tuple:
-    """(passed, deviation), the tolerance scaled by the Choi matrix (linalg.within)."""
+    """(passed, deviation), the tolerance scaled by the Choi matrix (linalg.within).
+
+    Every predicate, spectral function and the Kraus and fixed-point routes
+    pass through here first, so a bad ``tol`` raises ``BadInput`` (linalg.check_tol).
+    """
+    linalg.check_tol(tol)
     dev = _DEVIATIONS[name](m)
     return within(dev, tol, m.choi), dev
 
@@ -191,7 +196,6 @@ def min_choi_eigenvalue(m: ChoiMap, tol: float = DEFAULT_TOL) -> float:
 
 def channel_report(m: ChoiMap, tol: float = DEFAULT_TOL) -> Report:
     """All channel-property checks in a fixed order."""
-    linalg.check_tol(tol)
     rep = Report("map check")
     rep.add("hermiticity_preserving", *_check(m, "hermiticity_preserving", tol))
     cp, margin = _cp_with_margin(m, tol)
@@ -216,12 +220,18 @@ class KrausSet:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(linalg.as_cmatrix(k) for k in self.operators)
-        if not ops:
+        if not len(self.operators):
             raise BadInput("a Kraus set needs at least one operator")
-        if any(k.shape != ops[0].shape for k in ops):
-            raise ShapeMismatch("Kraus operators must share a shape")
-        object.__setattr__(self, "operators", ops)
+        try:
+            ops = linalg.numeric_array(self.operators, "Kraus operators")
+        except BadInput:
+            # read each operator alone to tell unequal shapes from a bad operator
+            if len({linalg.numeric_array(k, "Kraus operator").shape for k in self.operators}) > 1:
+                raise ShapeMismatch("Kraus operators must share a shape") from None
+            raise
+        if ops.ndim != 3 or 0 in ops.shape:
+            raise ShapeMismatch(f"Kraus operators must be nonempty matrices, got shape {ops.shape}")
+        object.__setattr__(self, "operators", tuple(ops.astype(np.complex128, copy=False)))
 
     def apply(self, x) -> np.ndarray:
         x = linalg.as_cmatrix(x)

@@ -236,8 +236,12 @@ def from_response_function(f, k: int) -> Density:
 
 
 def _convex_weights(weights, count: int, what: str) -> np.ndarray:
-    """The weights as floats; BadWeights unless one per item, finite, >= 0 and summing to one."""
-    w = np.asarray(weights, dtype=float)
+    """The weights as floats; BadWeights unless numbers, one per item, finite, >= 0 and
+    summing to one."""
+    try:
+        w = numeric_array(weights, "weights", real=True, finite=False).astype(float, copy=False)
+    except BadInput as e:
+        raise BadWeights(str(e)) from None
     if w.size != count or w.size == 0:
         raise BadWeights(f"need one weight per {what}")
     if not np.isfinite(w).all():

@@ -1,15 +1,20 @@
 """Dense complex-matrix kernel used by every other module.
 
 All matrices are dense two-dimensional ``numpy`` arrays with complex128
-entries (real arrays are accepted and promoted).  Systems are built by broadcasting
-and reach 1280 x 64 (the Kraus commutant of an n = 8 Pauli (x) S_2 channel, ten
-operators); tall nullspaces go through R.  ``qperm.commutation_subspace`` reads its
+entries (real arrays are accepted and promoted).  Input whose imaginary part is
+exactly zero (:func:`exact_real`) is decomposed in float64 by :func:`hermitian_eig`,
+:func:`nullspace` and :func:`joint_commutant`, whose results are complex128 either
+way.  Systems are built by broadcasting; tall nullspaces go through R.  The Kraus
+commutant of an n = 8 Pauli (x) S_2 channel (ten real 8 x 8 operators) splits into
+a 640 x 36 symmetric and a 640 x 28 antisymmetric part, where complex operators
+would give one 1280 x 64 system.  ``qperm.commutation_subspace`` reads its
 nullspace from an n^2 x n^2 Gram matrix under a certificate and hands its tall
 system (1024 x 64 at n = 8, d = 4) to :func:`nullspace` only when that fails.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +68,13 @@ def as_cmatrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"expected a nonempty 2-D matrix, got shape {m.shape}")
     return m
+
+
+def exact_real(a) -> np.ndarray:
+    """``a`` as a contiguous float64 array if its imaginary part is exactly zero,
+    else as complex128: real input runs the kernels in real arithmetic."""
+    a = np.asarray(a, dtype=np.complex128)
+    return a if a.imag.any() else np.ascontiguousarray(a.real)
 
 
 def dagger(a) -> np.ndarray:
@@ -129,15 +141,14 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1] or not is_hermitian(a, tol):
         raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {tol}")
-    h = 0.5 * (a + dagger(a))
+    h = exact_real(0.5 * (a + dagger(a)))
     w, v = np.linalg.eigh(h)
-    out = HermEig(w, v)
     scale = max(norm_max(a), 1.0)
     bound = _EIG_RECONSTRUCTION_FACTOR * np.finfo(np.float64).eps * scale
-    err = norm_max(out.reconstruct() - h)
+    err = norm_max((v * w) @ dagger(v) - h)
     if err > bound:
         raise InternalMismatch(f"eigendecomposition residual {err} exceeds {bound}")
-    return out
+    return HermEig(w, v.astype(np.complex128, copy=False))
 
 
 def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
@@ -158,20 +169,25 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the right nullspace of ``m``, one vector per row.
 
     Singular values at or below ``tol * max(1, sigma_max)`` count as zero.
-    Wide input needs the full V*; tall input is first reduced to its R factor,
-    which has the same singular values and V*, so no U factor is formed.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = exact_real(m)
     if m.size == 0 or m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
+    s, vh = _reduced_svd(m)
+    return vh[np.sum(s > _cutoff(tol, s)):].conj().astype(np.complex128, copy=False)
+
+
+def _reduced_svd(m):
+    """(singular values, V*) of ``m``, with the full V* when ``m`` is wide.  A tall
+    ``m`` is first reduced to its R factor, which has the same singular values and
+    V*, so no U factor is formed."""
     if m.shape[0] > m.shape[1]:
         m = np.linalg.qr(m, mode="r")
-    rank, vh = _ranked_svd(m, tol, full=m.shape[0] < m.shape[1])
-    return vh[rank:].conj()
+    return _svd(m, full=m.shape[0] < m.shape[1])
 
 
-def _ranked_svd(m, tol: float, full: bool = False):
-    """(rank, V*) of ``m``, counting singular values above ``tol * max(1, sigma_max)``."""
+def _svd(m, full: bool = False):
+    """(singular values, V*) of ``m``."""
     try:
         _, s, vh = np.linalg.svd(m, full_matrices=full)
     except np.linalg.LinAlgError:
@@ -180,8 +196,13 @@ def _ranked_svd(m, tol: float, full: bool = False):
         import scipy.linalg
 
         _, s, vh = scipy.linalg.svd(m, full_matrices=full, lapack_driver="gesvd")
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    return int(np.sum(s > cutoff)), vh
+    return s, vh
+
+
+def _cutoff(tol: float, *singular_values) -> float:
+    """``tol * max(1, sigma_max)``, sigma_max taken over every given array of singular
+    values: the values at or below it count as zero."""
+    return tol * max([1.0] + [float(s[0]) for s in singular_values if s.size])
 
 
 def joint_commutant(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -198,15 +219,57 @@ def joint_commutant(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     for k in mats:
         if k.shape != (d, d):
             raise ShapeMismatch("all matrices must be square of equal size")
-    ops = np.array(mats)
-    ops = np.stack([ops, ops.conj().swapaxes(1, 2)], axis=1)  # K, K*, for each K
-    # vec(A op - op A) = (I (x) op^T - op (x) I) vec(A)  [row-major vec]; entry
-    # [(i, p), (j, q)] is [i = j] op[q, p] - op[i, j] [p = q].
-    diag, system = np.arange(d), np.zeros(ops.shape[:2] + (d,) * 4, dtype=np.complex128)
-    system[:, :, diag, :, diag, :] = ops.swapaxes(2, 3)
-    system[:, :, :, diag, :, diag] -= ops
-    basis_vecs = nullspace(system.reshape(-1, d * d), tol)
+    ops = exact_real(np.array(mats))
+    if ops.dtype.kind == "f":
+        return _real_commutant(ops, tol)
+    basis_vecs = nullspace(_commutator_system(np.stack([ops, dagger(ops)], axis=1)), tol)
     return [v.reshape(d, d) for v in basis_vecs]
+
+
+def _commutator_system(ops) -> np.ndarray:
+    """The rows (I (x) op^T - op (x) I) of each d x d op in the stack ``ops``, stacked.
+
+    vec(A op - op A) = (I (x) op^T - op (x) I) vec(A)  [row-major vec]; entry
+    [(i, p), (j, q)] is [i = j] op[q, p] - op[i, j] [p = q].
+    """
+    d = ops.shape[-1]
+    diag, system = np.arange(d), np.zeros(ops.shape[:-2] + (d,) * 4, dtype=ops.dtype)
+    system[..., diag, :, diag, :] = ops.swapaxes(-1, -2)
+    system[..., :, diag, :, diag] -= ops
+    return system.reshape(-1, d * d)
+
+
+def _real_commutant(ops, tol: float) -> list[np.ndarray]:
+    """joint_commutant of real operators, posed on symmetric and antisymmetric parts.
+
+    For real K and X = S + A, ||[X, K]||^2 + ||[X, K^T]||^2 = 2 ||[S, K]||^2 + 2 ||[A, K]||^2,
+    so in orthonormal bases of the two parts the joint system is block diagonal,
+    each block being sqrt 2 times the rows of K alone: the singular values of the
+    two blocks are those of the joint system, and one cutoff spans both.
+    """
+    d = ops.shape[-1]
+    system = np.sqrt(2.0) * _commutator_system(ops)
+    bases = [b for b in _symmetric_bases(d) if len(b)]
+    svds = [_reduced_svd(system @ b.T) for b in bases]
+    cutoff = _cutoff(tol, *(s for s, _ in svds))
+    null = [vh[np.sum(s > cutoff):] @ b for (s, vh), b in zip(svds, bases)]
+    return list(np.concatenate(null).astype(np.complex128).reshape(-1, d, d))
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_bases(d: int) -> tuple:
+    """Orthonormal bases, as read-only rows of vectorized d x d matrices, of the
+    symmetric and of the antisymmetric real matrices."""
+    i, j = np.triu_indices(d, 1)
+    pairs = np.arange(len(i))
+    sym, anti = np.zeros((d + len(i), d, d)), np.zeros((len(i), d, d))
+    sym[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    sym[d + pairs, i, j] = sym[d + pairs, j, i] = anti[pairs, i, j] = np.sqrt(0.5)
+    anti[pairs, j, i] = -np.sqrt(0.5)
+    bases = sym.reshape(-1, d * d), anti.reshape(-1, d * d)
+    for b in bases:
+        b.setflags(write=False)
+    return bases
 
 
 def orthonormal_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -214,8 +277,8 @@ def orthonormal_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not mats:
         return np.zeros((0, 0), dtype=np.complex128)
     stack = np.vstack([vec(as_cmatrix(m)) for m in mats])
-    rank, vh = _ranked_svd(stack, tol)
-    return vh[:rank]
+    s, vh = _svd(stack)
+    return vh[:np.sum(s > _cutoff(tol, s))]
 
 
 def residual_outside_span(basis, target) -> float:

@@ -104,6 +104,24 @@ def record_nullspace_inputs(monkeypatch):
     return seen
 
 
+def force_complex_path(monkeypatch):
+    """Make ``linalg.exact_real`` pass every array on as complex128, so the kernels
+    that decompose real input in float64 take their complex path."""
+    monkeypatch.setattr(linalg, "exact_real", lambda a: np.asarray(a, dtype=np.complex128))
+
+
+def assert_same_orthonormal_span(a, b, bound=1e-12):
+    """Bases ``a`` and ``b`` (matrices or vectors) are complex128, orthonormal and
+    span the same space: each containment residual at most ``bound``."""
+    qa, qb = (np.reshape(x, (len(x), -1)) for x in (a, b))
+    assert len(qa) == len(qb)
+    assert qa.dtype == qb.dtype == np.complex128
+    assert np.abs(qa.conj() @ qa.T - np.eye(len(qa))).max() <= bound
+    assert np.abs(qb.conj() @ qb.T - np.eye(len(qb))).max() <= bound
+    assert linalg._containment_residual(qa, qb) <= bound
+    assert linalg._containment_residual(qb, qa) <= bound
+
+
 def fresh_python(code):
     """stdout of ``code`` run in a fresh interpreter with the package's src/ on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(densities.__file__)))

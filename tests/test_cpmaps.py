@@ -19,7 +19,8 @@ from bisyncgames.errors import (
     ShapeMismatch,
 )
 
-from conftest import count_calls, raises_quietly, sample_systems
+from conftest import (assert_same_orthonormal_span, count_calls, force_complex_path, pauli_systems,
+                      raises_quietly, sample_systems)
 
 
 def unit(i, j, d):
@@ -532,6 +533,36 @@ def test_choi_map_of_non_finite_entries_is_bad_input(value):
 def test_channel_report_names_a_bad_tol(tol):
     with pytest.raises(BadInput, match="tol must be a finite number > 0"):
         cpmaps.channel_report(cpmaps.identity_map(2), tol)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("name", [
+    "is_cp", "is_tp", "is_unital", "is_hermiticity_preserving", "preserves_J", "preserves_sigma",
+    "noncp_spectral_margin", "min_choi_eigenvalue", "kraus_from_choi", "fixed_point_set"])
+def test_channel_functions_name_a_bad_tol(name, tol):
+    with pytest.raises(BadInput, match="tol must be a finite number > 0"):
+        getattr(cpmaps, name)(cpmaps.identity_map(2), tol)
+
+
+@pytest.mark.parametrize("op", [[["a"]], np.full((2, 2), np.nan), [[1.0], [1.0, 0.0]]])
+def test_kraus_set_of_non_numeric_or_non_finite_operators_is_bad_input(op):
+    raises_quietly(BadInput, lambda: cpmaps.KrausSet((op,)))
+
+
+_CHANNEL_SYSTEMS = sample_systems(103, 12) + pauli_systems(103)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("index", range(len(_CHANNEL_SYSTEMS)))
+def test_real_and_complex_paths_give_the_same_fixed_point_bases(index, tol, monkeypatch):
+    # the induced Choi matrices are real, so both routes run in float64
+    m = cpmaps.phi_from_density(qperm.induced_density(_CHANNEL_SYSTEMS[index], tol), tol)
+    assert linalg.exact_real(m.choi).dtype == np.float64
+    got = cpmaps._fixed_point_bases(m, tol)
+    force_complex_path(monkeypatch)
+    expected = cpmaps._fixed_point_bases(cpmaps.ChoiMap(m.n, m.k, m.choi), tol)
+    for a, b in zip(got, expected):
+        assert_same_orthonormal_span(a, b)
 
 
 @pytest.mark.parametrize("choi", [[["a"]], [[1.0], [1.0, 0.0]]])

@@ -1914,6 +1914,11 @@ def test_highs_loaded_by_scipy_optimize_first_is_reused():
     assert fresh_python(code).strip() == "True"
 
 
+def test_weights_given_as_strings_are_bad_weights():
+    raises_quietly(BadWeights, lambda: dn.PermutationMixture(["a", "b"], [(0, 1), (1, 0)]))
+    raises_quietly(BadWeights, lambda: dn.mixture([dn.uniform_density(2, 2)], ["x"]))
+
+
 def test_ragged_density_list_is_bad_input():
     raises_quietly(BadInput, lambda: dn.Density([[[[1.0]]], [[[1.0, 0.0]]]]))
 

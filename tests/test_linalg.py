@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisyncgames import cpmaps, linalg, qperm
+from bisyncgames import cpmaps, densities, linalg, qperm
 from bisyncgames.errors import BadInput, NotHermitian, ShapeMismatch
 
-from conftest import (pauli_systems, raises_quietly, random_hermitian, record_nullspace_inputs,
-                      sample_systems)
+from conftest import (assert_same_orthonormal_span, force_complex_path, pauli_systems,
+                      raises_quietly, random_hermitian, record_nullspace_inputs, sample_systems)
 
 
 def unit(i, j, d):
@@ -263,14 +263,81 @@ def _joint_commutant_system_by_loop(mats):
 def test_joint_commutant_system_matches_loop_reference(rng, monkeypatch):
     kraus = [cpmaps.kraus_from_choi(cpmaps.phi_from_density(qperm.induced_density(s))).operators
              for s in sample_systems(103, 8) + pauli_systems(103)]
-    kraus += [[rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]]
     assert {ops[0].shape[0] for ops in kraus} >= {4, 8}
     seen = record_nullspace_inputs(monkeypatch)
+    # complex operators hand nullspace the loop system itself
+    ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    linalg.joint_commutant(ops)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], _joint_commutant_system_by_loop(ops))
+    # real ones split it into symmetric and antisymmetric parts, which must
+    # carry the loop system's singular values and nullspace
+    parts, reduced_svd = [], linalg._reduced_svd
+
+    def recording(m):
+        parts.append(reduced_svd(m))
+        return parts[-1]
+
+    monkeypatch.setattr(linalg, "_reduced_svd", recording)
     for ops in kraus:
         seen.clear()
-        linalg.joint_commutant(ops)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], _joint_commutant_system_by_loop(ops))
+        parts.clear()
+        got = linalg.joint_commutant(ops)
+        assert seen == [] and len(parts) == 2
+        _, s, vh = np.linalg.svd(_joint_commutant_system_by_loop(ops))
+        split = np.sort(np.concatenate([p[0] for p in parts]))[::-1]
+        assert split.shape == s.shape
+        assert np.abs(split - s).max() <= 1e-12 * max(1.0, s[0])
+        expected = vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj()
+        got = np.reshape(got, (len(got), -1))
+        assert linalg._containment_residual(got, expected) <= 1e-12
+        assert linalg._containment_residual(expected, got) <= 1e-12
+
+
+def _real_kraus_set(rng, kind, count):
+    """``count`` real operators: the Kraus form of a uniform mixture of random
+    permutations (a degenerate Choi spectrum), or orthogonally rotated block
+    diagonals whose first block repeats and whose second is rank-deficient."""
+    if kind == "mixture":
+        n = int(rng.integers(3, 6))
+        mix = densities.PermutationMixture(np.full(count, 1 / count),
+                                           [rng.permutation(n) for _ in range(count)])
+        return cpmaps.kraus_from_choi(cpmaps.mixed_permutation_map(mix)).operators
+    sizes = rng.integers(1, 3, size=3)
+    d = int(sizes.sum() + sizes[0])
+    o = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    ops = []
+    for _ in range(count):
+        blocks = [rng.normal(size=(k, k)) for k in sizes]
+        blocks[1][:, 0] = 0.0
+        op, at = np.zeros((d, d)), 0
+        for b in blocks + blocks[:1]:
+            op[at:at + len(b), at:at + len(b)] = b
+            at += len(b)
+        ops.append(o @ op @ o.T)
+    return ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["mixture", "blocks"]), st.integers(1, 4),
+       st.sampled_from([1e-9, 1e-6]))
+def test_real_commutant_matches_the_complex_path(seed, kind, count, tol):
+    ops = _real_kraus_set(np.random.default_rng(seed), kind, count)
+    got = linalg.joint_commutant(ops, tol)
+    with pytest.MonkeyPatch.context() as forced:
+        force_complex_path(forced)
+        expected = linalg.joint_commutant(ops, tol)
+    assert_same_orthonormal_span(got, expected)
+
+
+def test_hermitian_eig_of_real_input_is_real_and_complex_input_takes_the_complex_path(rng):
+    a = random_hermitian(rng, 6)
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    eig = linalg.hermitian_eig(a)
+    assert np.array_equal(eig.eigenvalues, w) and np.array_equal(eig.eigenvectors, v)
+    eig = linalg.hermitian_eig(a.real.astype(np.complex128))
+    assert eig.eigenvectors.dtype == np.complex128 and not eig.eigenvectors.imag.any()
+    assert np.abs(eig.reconstruct() - a.real).max() <= 1e-12 * np.abs(a).max()
 
 
 def _as_matrices(rows):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from bisyncgames import cpmaps, densities as dn, games, linalg, qperm, vect
 from bisyncgames.errors import BadInput, InternalMismatch, ShapeMismatch, UnverifiedSystem
 
-from conftest import (count_calls, pauli_systems, raises_quietly, record_nullspace_inputs,
-                      rotated_block_pair, sample_systems)
+from conftest import (count_calls, force_complex_path, pauli_systems, raises_quietly,
+                      record_nullspace_inputs, rotated_block_pair, sample_systems)
 
 
 def test_verify_classical_permutation():
@@ -560,6 +560,26 @@ def test_rotated_block_pairs_keep_the_tall_route_outcome(tol, monkeypatch):
             forced.setattr(qperm, "_gram_nullspace", lambda s, t: None)
             tall = _fix_outcome(qperm.fix_equivalence_check(rotated_block_pair(theta), tol))
         assert got == tall, theta
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_rotated_block_pairs_keep_the_complex_path_outcome(tol, monkeypatch):
+    # the induced channels are real, so their fixed points are found in float64.
+    # The pass flag must not move; the witness and failed lines only where a
+    # Choi eigenvalue lies within rounding (hermitian_eig's 1e3 eps bound) of the
+    # Kraus cut, which the two eigendecompositions may then keep on either side
+    for theta in 10.0 ** np.arange(-9, -1.99, 0.5):
+        sys = rotated_block_pair(theta)
+        got = qperm.fix_equivalence_check(sys, tol)
+        with monkeypatch.context() as forced:
+            force_complex_path(forced)
+            expected = qperm.fix_equivalence_check(sys, tol)
+        assert got.report.passed == expected.report.passed, theta
+        if _fix_outcome(got) != _fix_outcome(expected):
+            m = cpmaps.phi_from_density(qperm.induced_density(sys, tol), tol)
+            lam = cpmaps._choi_eig(m).eigenvalues
+            tie = np.abs(lam - tol * max(1.0, lam[-1])).min()
+            assert tie <= 1e3 * np.finfo(float).eps * max(1.0, np.abs(m.choi).max()), theta
 
 
 def test_near_threshold_dimension_disagreement_is_reported():
