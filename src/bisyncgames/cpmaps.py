@@ -52,7 +52,7 @@ class ChoiMap:
 def _choi_eig(m: ChoiMap) -> linalg.HermEig:
     """hermitian_eig of the Choi matrix, cached; callers check Hermiticity at their own tol."""
     if m._eig is None:
-        object.__setattr__(m, "_eig", linalg.hermitian_eig(m.choi, np.inf))
+        object.__setattr__(m, "_eig", linalg._hermitian_eig(m.choi))
     return m._eig
 
 
@@ -312,6 +312,7 @@ def _fixed_point_bases(m: ChoiMap, tol: float):
 
 def is_schur_closed(basis, tol: float = DEFAULT_TOL) -> bool:
     """Whether every entrywise product of two basis elements stays in the span."""
+    linalg.check_tol(tol)
     mats = [linalg.as_cmatrix(b) for b in basis]
     if not mats:
         return True

@@ -29,10 +29,9 @@ from .errors import (
 from .games import (
     ATOM_GUARD,
     Game,
-    as_permutation,
     atoms_within,
-    check_response_values,
     forbidden_positions,
+    index_rows,
 )
 from .linalg import DEFAULT_TOL, check_tol, numeric_array, within
 from .report import Report
@@ -252,41 +251,13 @@ def _convex_weights(weights, count: int, what: str) -> np.ndarray:
 
 
 def _keep_atoms(mix, field: str, k: int | None = None):
-    """Check a mixture's weights (:func:`_convex_weights`), then its atoms, the rows in ``field``.
-
-    Each row must permute 0..n-1 (``field`` "permutations") or map into
-    0..k-1 ("functions"), n being the length of the first row.  Only if
-    one fails, or the rows differ in length or overflow intp, are they
-    read again as tuples of ints to raise the first bad row's error (for
-    functions, every length is checked before any value); a row that is
-    not a sequence of ints, as a flat row, raises ``BadInput``.  The atoms are
-    kept as one read-only (m, n) intp array, ``_atoms``, and ``field``
-    as its rows, a tuple of tuples of ints.
-    """
+    """Check a mixture's weights (:func:`_convex_weights`), then its atoms, the rows in
+    ``field`` (:func:`games.index_rows`).  The atoms are kept as one read-only (m, n)
+    intp array, ``_atoms``, and ``field`` as its rows, a tuple of tuples of ints."""
     rows = getattr(mix, field)
     rows = rows if isinstance(rows, np.ndarray) else list(rows)
-    perms = field == "permutations"
-    w = _convex_weights(mix.weights, len(rows), "permutation" if perms else "function")
-    try:
-        atoms = np.array(rows, dtype=np.intp)
-    except (TypeError, ValueError, OverflowError):
-        atoms = None
-    if atoms is None or atoms.ndim != 2 or not (
-            (np.sort(atoms, axis=1) == np.arange(atoms.shape[1])).all() if perms
-            else ((atoms >= 0) & (atoms < k)).all()):
-        try:
-            rows = [tuple(int(v) for v in row) for row in rows]
-        except (TypeError, ValueError):
-            raise BadInput(f"each {field[:-1]} must be a sequence of ints") from None
-        n = len(rows[0])
-        if not perms and any(len(f) != n for f in rows):
-            raise ShapeMismatch(f"each function must take the {n} inputs 0..{n - 1}")
-        for row in rows:
-            if perms:
-                as_permutation(row, n)
-            else:
-                check_response_values(row, k)
-    atoms.setflags(write=False)
+    w = _convex_weights(mix.weights, len(rows), field[:-1])
+    atoms = index_rows(rows, field[:-1], k)
     object.__setattr__(mix, "weights", w)
     object.__setattr__(mix, field, tuple(map(tuple, atoms.tolist())))
     object.__setattr__(mix, "_atoms", atoms)

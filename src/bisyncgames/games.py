@@ -7,6 +7,7 @@ True when the answer pair (a, b) to the question pair (x, y) wins.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
+from .linalg import numeric_array
 
 # the most partial atoms one search may hold: 8! permutations, 3000 response functions
 ATOM_GUARD = {"permutations": math.factorial(8), "responses": 3000}
@@ -75,19 +77,64 @@ def atoms_within(family: str, n: int, k: int, allowed=None) -> np.ndarray:
     return rows
 
 
-def check_response_values(f, k: int) -> None:
-    """ShapeMismatch unless every value of the response function ``f`` lies in 0..k-1."""
-    if any(not 0 <= v < k for v in f):
-        raise ShapeMismatch("response values must lie in 0..k-1")
+def index_rows(rows, what: str, bound=None) -> np.ndarray:
+    """``rows`` of int indices as one read-only (m, width) intp array, checked by the
+    rule ``what`` names, the first bad row raising: a "permutation" of 0..n-1, n =
+    ``bound`` or the first row's length (NotBijective); a "function" of the first
+    row's length, every length checked first, into 0..``bound``-1 (ShapeMismatch);
+    an "edge" of two distinct vertices in 0..``bound``-1, or a "zero tuple" within
+    the shape ``bound`` (BadInput).  A float (1.0 too), bool or string entry, or a
+    row that is not a sequence, raises BadInput.  Only rows numpy cannot hold as one
+    int matrix (ragged, beyond 64 bits, not all ints), or that break the rule, are
+    read again one by one, for the error."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # ragged
+        arr = np.empty(0)
+    if not (arr.ndim == 2 and arr.dtype.kind in "iu" and _rows_obey(arr, what, bound).all()
+            # numpy reads True as 1 among ints
+            and (isinstance(rows, np.ndarray) or _ints(itertools.chain.from_iterable(rows)))):
+        try:
+            rows = [list(row) for row in rows]
+            if not _ints(itertools.chain.from_iterable(rows)):
+                raise TypeError
+        except TypeError:
+            raise BadInput(f"each {what} must be a sequence of ints") from None
+        rows = [[int(v) for v in row] for row in rows]
+        first = len(rows[0]) if rows else 0
+        if what == "function" and any(len(row) != first for row in rows):
+            raise ShapeMismatch(f"each function must take the {first} inputs 0..{first - 1}")
+        bound = first if bound is None else bound  # a permutation's n
+        for row in rows:
+            if _rows_obey(np.array([row], dtype=object), what, bound)[0]:
+                continue
+            if what == "permutation":
+                raise NotBijective(f"{row} is not a permutation of 0..{bound - 1}")
+            if what == "function":
+                raise ShapeMismatch("response values must lie in 0..k-1")
+            raise BadInput(f"bad {what} {row} for " + (
+                f"{bound} vertices" if what == "edge" else f"the shape {bound}"))
+        arr = np.reshape(rows, (len(rows), {"edge": 2, "zero tuple": 4}.get(what, first)))
+    arr = np.array(arr, dtype=np.intp)
+    arr.setflags(write=False)
+    return arr
 
 
-def as_permutation(sigma, n: int | None = None) -> list:
-    """``sigma`` as a list; NotBijective unless it permutes 0..n-1 (n defaults to its length)."""
-    sigma = list(sigma)
-    n = len(sigma) if n is None else n
-    if sorted(sigma) != list(range(n)):
-        raise NotBijective(f"{sigma} is not a permutation of 0..{n - 1}")
-    return sigma
+def _ints(values) -> bool:
+    """Whether every value is a Python or numpy int and not a bool (types read in C)."""
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values)))
+
+
+def _rows_obey(a, what: str, bound) -> np.ndarray:
+    """Per row of the 2-D array ``a`` of (numpy or Python) ints, whether it keeps the rule."""
+    width = a.shape[1]
+    n = width if bound is None else bound
+    if width != {"permutation": n, "edge": 2, "zero tuple": 4}.get(what, width):
+        return np.zeros(len(a), dtype=bool)
+    if what == "permutation":
+        return (np.sort(a, axis=1) == np.arange(n)).all(axis=1)
+    ok = ((a >= 0) & (a < n)).all(axis=1)
+    return ok & (a[:, 0] != a[:, 1]) if what == "edge" else ok
 
 
 @dataclass(frozen=True)
@@ -97,7 +144,7 @@ class Graph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
+        adj = numeric_array(self.adjacency, "adjacency", real=True).astype(bool, copy=False)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
             raise BadInput("adjacency must be a square nonempty boolean matrix")
         if adj.diagonal().any():
@@ -111,24 +158,22 @@ class Graph:
         return self.adjacency.shape[0]
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                if self.adjacency[i, j]]
+        return list(map(tuple, np.argwhere(np.triu(self.adjacency)).tolist()))
 
 
 def graph_from_edges(n: int, edges) -> Graph:
+    """The graph on 0..n-1 with the given (i, j) edges (:func:`index_rows`)."""
+    check_entries(n, n)
+    i, j = index_rows(edges, "edge", n).T
     adj = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise BadInput(f"bad edge ({i}, {j}) for {n} vertices")
-        adj[i, j] = adj[j, i] = True
+    adj[i, j] = adj[j, i] = True
     return Graph(adj)
 
 
 def complete_graph(c: int) -> Graph:
     if c < 1:
         raise BadInput("need at least one vertex")
-    adj = ~np.eye(c, dtype=bool)
-    return Graph(adj)
+    return Graph(~np.eye(c, dtype=bool))
 
 
 def empty_graph(n: int) -> Graph:
@@ -155,10 +200,8 @@ def graph_complement(g: Graph) -> Graph:
 
 def relabel_graph(g: Graph, sigma) -> Graph:
     """Graph with vertex i of ``g`` renamed sigma[i]."""
-    sigma = as_permutation(sigma, g.n)
-    adj = np.zeros_like(g.adjacency)
-    adj[np.ix_(sigma, sigma)] = g.adjacency
-    return Graph(adj)
+    inverse = np.argsort(index_rows([sigma], "permutation", g.n)[0])
+    return Graph(g.adjacency[np.ix_(inverse, inverse)])
 
 
 @dataclass(frozen=True)
@@ -168,7 +211,7 @@ class Game:
     lam: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=bool)
+        lam = numeric_array(self.lam, "predicate", real=True).astype(bool, copy=False)
         if lam.ndim != 4 or min(lam.shape) < 1:
             raise BadInput("predicate must be a 4-index boolean tensor")
         object.__setattr__(self, "lam", lam)
@@ -263,11 +306,9 @@ def bisync_lift(g: Game) -> Game:
         raise NotSynchronous("bisync_lift requires a synchronous game")
     n, k = g.nA, g.kA
     check_entries(n, n, n * k, n * k)
-    lifted = np.zeros((n, n, n * k, n * k), dtype=bool)
-    for x in range(n):
-        for y in range(n):
-            lifted[x, y, x * k:(x + 1) * k, y * k:(y + 1) * k] = g.lam[x, y]
-    return Game(lifted)
+    lifted, x = np.zeros((n, n, n, k, n, k), dtype=bool), np.arange(n)
+    lifted[x[:, None], x, x[:, None], :, x, :] = g.lam  # [x, y, x, a, y, b] = lam[x, y, a, b]
+    return Game(lifted.reshape(n, n, n * k, n * k))
 
 
 def lift_output_index(x: int, a: int, k: int) -> int:
@@ -277,12 +318,11 @@ def lift_output_index(x: int, a: int, k: int) -> int:
 
 def is_perfect_deterministic(g: Game, f) -> bool:
     """Whether the shared response function ``f`` wins on every input pair;
-    ShapeMismatch when a value of ``f`` lies outside 0..k-1."""
+    ShapeMismatch when a value of ``f`` lies outside 0..k-1 (:func:`index_rows`)."""
     f = list(f)
     if g.nA != g.nB or g.kA != g.kB or len(f) != g.nA:
         return False
-    check_response_values(f, g.kA)
-    x, f = np.arange(g.nA), np.array(f, dtype=np.intp)
+    x, f = np.arange(g.nA), index_rows([f], "function", g.kA)[0]
     return bool(g.lam[x[:, None], x, f[:, None], f].all())
 
 

@@ -63,8 +63,8 @@ def numeric_array(a, what: str, real: bool = False, finite: bool = True) -> np.n
 
 
 def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array without copying when possible."""
-    m = np.asarray(a, dtype=np.complex128)
+    """A finite :func:`numeric_array` as a 2-D complex128 array, without copying when possible."""
+    m = numeric_array(a, "matrix").astype(np.complex128, copy=False)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"expected a nonempty 2-D matrix, got shape {m.shape}")
     return m
@@ -109,10 +109,9 @@ def kron(a, b) -> np.ndarray:
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
+    check_tol(tol)
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return within(norm_max(a - dagger(a)), tol, a)
+    return a.shape[0] == a.shape[1] and within(norm_max(a - dagger(a)), tol, a)
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,13 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
     InternalMismatch is raised if it drifts beyond the documented bound.
     """
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1] or not is_hermitian(a, tol):
+    if not is_hermitian(a, tol):
         raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {tol}")
+    return _hermitian_eig(a)
+
+
+def _hermitian_eig(a) -> HermEig:
+    """hermitian_eig of the Hermitian part of the square complex128 matrix ``a``, not checked."""
     h = exact_real(0.5 * (a + dagger(a)))
     w, v = np.linalg.eigh(h)
     scale = max(norm_max(a), 1.0)
@@ -153,16 +157,13 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> HermEig:
 
 def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff the Hermitian matrix ``a`` has least eigenvalue >= -tol (scaled, see within)."""
-    a = as_cmatrix(a)
     return within(-hermitian_eig(a, tol).eigenvalues[0], tol, a)
 
 
 def is_projection(a, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``a`` is self-adjoint and idempotent within ``tol`` (entrywise, scaled)."""
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return within(norm_max(a - dagger(a)), tol, a) and within(norm_max(a @ a - a), tol, a)
+    return is_hermitian(a, tol) and within(norm_max(a @ a - a), tol, a)
 
 
 def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -170,7 +171,8 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Singular values at or below ``tol * max(1, sigma_max)`` count as zero.
     """
-    m = exact_real(m)
+    check_tol(tol)
+    m = exact_real(numeric_array(m, "matrix"))
     if m.size == 0 or m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
     s, vh = _reduced_svd(m)
@@ -212,13 +214,13 @@ def joint_commutant(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     solved as the nullspace of the vectorized linear system.  All inputs
     must be square of equal size.
     """
+    check_tol(tol)
     mats = [as_cmatrix(k) for k in mats]
     if not mats:
         raise ShapeMismatch("need at least one matrix")
     d = mats[0].shape[0]
-    for k in mats:
-        if k.shape != (d, d):
-            raise ShapeMismatch("all matrices must be square of equal size")
+    if any(k.shape != (d, d) for k in mats):
+        raise ShapeMismatch("all matrices must be square of equal size")
     ops = exact_real(np.array(mats))
     if ops.dtype.kind == "f":
         return _real_commutant(ops, tol)
@@ -274,6 +276,7 @@ def _symmetric_bases(d: int) -> tuple:
 
 def orthonormal_span(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal vectors (rows) spanning the given matrices' span."""
+    check_tol(tol)
     if not mats:
         return np.zeros((0, 0), dtype=np.complex128)
     stack = np.vstack([vec(as_cmatrix(m)) for m in mats])

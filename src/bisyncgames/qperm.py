@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     UnverifiedSystem,
 )
-from .games import Graph, as_permutation
+from .games import Graph, index_rows
 from .linalg import DEFAULT_TOL, dagger, kron, norm_max, within
 from .report import Report
 
@@ -178,7 +178,7 @@ def induced_density(sys: ProjectiveSystem, tol: float = DEFAULT_TOL) -> Density:
 
 def from_permutation(sigma) -> QuantumPermutation:
     """The d = 1 quantum permutation of a classical permutation."""
-    sigma = as_permutation(sigma)
+    sigma = index_rows([sigma], "permutation")[0]
     return ProjectiveSystem((np.eye(len(sigma))[sigma][:, :, None, None],), (1.0,))
 
 
@@ -218,8 +218,7 @@ def block_pair(p, q) -> QuantumPermutation:
     Rows 0-1 play (p, 1-p) and rows 2-3 play (q, 1-q) for projections
     p, q of a common dimension.
     """
-    p = linalg.as_cmatrix(p)
-    q = linalg.as_cmatrix(q)
+    p, q = linalg.as_cmatrix(p), linalg.as_cmatrix(q)
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise BadInput("p and q must be square projections of equal size")
     if not (linalg.is_projection(p, 1e-9) and linalg.is_projection(q, 1e-9)):

@@ -23,7 +23,7 @@ import numpy as np
 from .cpmaps import ChoiMap
 from .densities import Density, PermutationMixture
 from .errors import BadInput
-from .games import Game, Graph, check_entries, graph_from_edges
+from .games import Game, Graph, check_entries, graph_from_edges, index_rows
 from .qperm import ProjectiveSystem
 from .vect import VectorStrategy
 
@@ -42,15 +42,6 @@ def _load_complex(obj) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def _index_tuples(items, shape, what) -> list:
-    """``items`` as tuples of len(shape) integers within ``shape``; BadInput otherwise."""
-    for t in items:
-        if not (isinstance(t, (list, tuple)) and len(t) == len(shape)
-                and all(isinstance(v, int) and 0 <= v < m for v, m in zip(t, shape))):
-            raise BadInput(f"bad {what} {t!r}: need {len(shape)} integers within {shape}")
-    return [tuple(t) for t in items]
-
-
 @contextmanager
 def _reading(what: str):
     """Turn a KeyError, TypeError or ValueError raised inside into BadInput("bad <what> JSON")."""
@@ -66,17 +57,12 @@ def graph_to_dict(g: Graph) -> dict:
 
 def graph_from_dict(d: dict) -> Graph:
     with _reading("graph"):
-        n = int(d["n"])
-        check_entries(n, n)
-        return graph_from_edges(n, _index_tuples(d.get("edges", []), (n, n), "edge"))
+        return graph_from_edges(int(d["n"]), d.get("edges", []))
 
 
 def game_to_dict(g: Game) -> dict:
-    zeros = np.argwhere(~g.lam)
-    return {
-        "nA": g.nA, "nB": g.nB, "kA": g.kA, "kB": g.kB,
-        "zeros": [[int(v) for v in row] for row in zeros],
-    }
+    return {"nA": g.nA, "nB": g.nB, "kA": g.kA, "kB": g.kB,
+            "zeros": np.argwhere(~g.lam).tolist()}
 
 
 def game_from_dict(d: dict) -> Game:
@@ -84,8 +70,7 @@ def game_from_dict(d: dict) -> Game:
         shape = (int(d["nA"]), int(d["nB"]), int(d["kA"]), int(d["kB"]))
         check_entries(*shape)
         lam = np.ones(shape, dtype=bool)
-        for t in _index_tuples(d.get("zeros", []), shape, "zero tuple"):
-            lam[t] = False
+        lam[tuple(index_rows(d.get("zeros", []), "zero tuple", shape).T)] = False
     return Game(lam)
 
 

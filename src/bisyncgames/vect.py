@@ -20,7 +20,7 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from .games import as_permutation
+from .games import index_rows
 from .linalg import DEFAULT_TOL, check_tol, numeric_array, within
 from .qperm import ProjectiveSystem, ensure_verified
 from .report import Report
@@ -154,5 +154,5 @@ def vect_from_projective(sys: ProjectiveSystem,
 
 def permutation_strategy(sigma) -> VectorStrategy:
     """Canonical one-dimensional witness of a classical permutation."""
-    sigma = as_permutation(sigma)
+    sigma = index_rows([sigma], "permutation")[0]
     return VectorStrategy(np.eye(len(sigma))[sigma][:, :, None])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bisyncgames import densities, linalg, qperm
+from bisyncgames.errors import BadInput, NotBijective, ShapeMismatch
 
 
 @pytest.fixture
@@ -50,6 +51,42 @@ def raises_quietly(error, build):
         with pytest.raises(error):
             build()
     assert [str(w.message) for w in caught] == []
+
+
+def reference_index_rows(rows, what, bound=None):
+    """``games.index_rows`` in plain Python, one row and one entry at a time: the
+    rows as lists of ints, or the error of the first bad row."""
+    try:
+        rows = [list(row) for row in rows]
+    except TypeError:
+        raise BadInput(f"each {what} must be a sequence of ints") from None
+    for row in rows:
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise BadInput(f"each {what} must be a sequence of ints")
+    rows = [[int(v) for v in row] for row in rows]
+    first = len(rows[0]) if rows else 0
+    if what == "function":
+        for row in rows:
+            if len(row) != first:
+                raise ShapeMismatch(f"each function must take the {first} inputs 0..{first - 1}")
+        for row in rows:
+            for v in row:
+                if not 0 <= v < bound:
+                    raise ShapeMismatch("response values must lie in 0..k-1")
+        return rows
+    for row in rows:
+        if what == "permutation":
+            n = first if bound is None else bound
+            if sorted(row) != list(range(n)):
+                raise NotBijective(f"{row} is not a permutation of 0..{n - 1}")
+        elif what == "edge":
+            if len(row) != 2 or not (0 <= row[0] < bound and 0 <= row[1] < bound) \
+                    or row[0] == row[1]:
+                raise BadInput(f"bad edge {row} for {bound} vertices")
+        elif len(row) != 4 or not all(0 <= v < m for v, m in zip(row, bound)):
+            raise BadInput(f"bad zero tuple {row} for the shape {bound}")
+    return rows
 
 
 _highs_solve = densities._highs_solve

@@ -493,6 +493,12 @@ _MALFORMED = {
     "system entry that is a bare number":
         ["qperm", "verify", "--in",
          {"n": 1, "k": 1, "blocks": [{"d": 1, "weight": 1.0, "E": [[[[1.0]]]]}]}],
+    "fractional mixture entry":
+        ["map", "mixperm", "--in", {"n": 2, "weights": [1.0], "permutations": [[0.5, 1]]}],
+    "integral float mixture entry":
+        ["map", "mixperm", "--in", {"n": 2, "weights": [1.0], "permutations": [[1.0, 0]]}],
+    "boolean edge end":
+        ["game", "hom", {"n": 3, "edges": [[True, 2]]}, {"n": 2, "edges": [[0, 1]]}],
     "mixture shorter than its header":
         ["map", "mixperm", "--in", {"n": 3, "weights": [1.0], "permutations": [[1, 0]]}],
     "intertwine --h edge with three ends":

@@ -1,11 +1,15 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisyncgames import densities, games, qperm, vect
 from bisyncgames.errors import (
     BadInput,
+    BisyncError,
     NotBijective,
     NotSynchronous,
     ShapeMismatch,
@@ -25,6 +29,7 @@ from bisyncgames.games import (
     iso_game,
     path_graph,
 )
+from conftest import raises_quietly, reference_index_rows
 
 
 def random_graph(rng, n):
@@ -355,3 +360,87 @@ def test_every_permutation_constructor_raises_not_bijective(sigma):
             build(sigma)
         with pytest.raises(BadInput):
             build(sigma)
+
+
+# ---------------------------------------------------------------------------
+# index rows: atoms, edges and game zeros pass one vectorized check
+
+
+@pytest.mark.parametrize("build", [
+    lambda: densities.PermutationMixture([1.0], ([0.5, 1.0],)),
+    lambda: densities.PermutationMixture([1.0], ([1.9, 0.2],)),
+    lambda: densities.PermutationMixture([1.0], ([1.0, 0.0],)),
+    lambda: densities.ResponseMixture([1.0], ([0.5, 1.0],), 2),
+    lambda: densities.ResponseMixture([1.0], ([1.9, 0.2],), 2),
+    lambda: densities.ResponseMixture([1.0], ([1.0, 0.0],), 2),
+    lambda: densities.from_permutation(np.array([1.0, 0.0])),
+    lambda: qperm.from_permutation([0.0, 1.0]),
+    lambda: vect.permutation_strategy([1.0, 0.0]),
+    lambda: games.relabel_graph(path_graph(2), [True, False]),
+    lambda: games.graph_from_edges(3, [(0.5, 1)]),
+    lambda: games.graph_from_edges(3, [(True, 2)]),
+    lambda: games.is_perfect_deterministic(hom_game(complete_graph(2), complete_graph(2)),
+                                           [1.0, 0]),
+])
+def test_non_integer_entries_are_bad_input(build):
+    raises_quietly(BadInput, build)
+
+
+def test_index_rows_returns_read_only_intp_rows():
+    rows = [[1, 0, 2], [2, 1, 0]]
+    arr = games.index_rows(rows, "permutation")
+    assert arr.dtype == np.intp and not arr.flags.writeable and arr.tolist() == rows
+    for empty, what, bound in (([], "edge", 3), ([], "zero tuple", (2, 2, 2, 2))):
+        assert games.index_rows(empty, what, bound).shape == (0, 2 if what == "edge" else 4)
+    assert not games.graph_from_edges(3, []).adjacency.any()
+    assert games.index_rows(np.array(rows, dtype=object), "permutation").tolist() == rows
+
+
+def _maybe_array(rows, as_array):
+    if not as_array:
+        return rows
+    try:
+        return np.array(rows)
+    except ValueError:
+        return rows
+
+
+_ENTRY = st.one_of(st.integers(0, 4), st.integers(-3, -1), st.integers(2 ** 63, 2 ** 70),
+                   st.integers(-2 ** 70, -2 ** 63 - 1), st.floats(-2, 5), st.booleans(),
+                   st.just("1"))
+
+
+@st.composite
+def _index_rows_case(draw):
+    what = draw(st.sampled_from(["permutation", "function", "edge", "zero tuple"]))
+    bound = draw({"permutation": st.none() | st.integers(0, 4), "function": st.integers(1, 4),
+                  "edge": st.integers(1, 4),
+                  "zero tuple": st.tuples(*[st.integers(1, 3)] * 4)}[what])
+    width = draw(st.integers(0, 5))
+    row = st.one_of(st.lists(st.integers(0, 4), min_size=width, max_size=width),
+                    st.permutations(range(width)), st.lists(_ENTRY, max_size=6))
+    rows = draw(st.one_of(st.lists(row, max_size=4), st.lists(_ENTRY, min_size=1, max_size=4)))
+    return _maybe_array(rows, draw(st.booleans())), what, bound
+
+
+def _outcome(check, rows, what, bound):
+    try:
+        return "ok", [list(map(int, row)) for row in check(rows, what, bound)]
+    except BisyncError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_index_rows_case())
+def test_index_rows_agrees_with_the_plain_python_reference(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(games.index_rows, *case) == _outcome(reference_index_rows, *case)
+
+
+def test_game_and_graph_read_their_arrays_as_numbers():
+    for lam in ([[[["a"]]]], np.full((1, 1, 1, 1), np.nan), [[[[1]], [[1], [1]]]]):
+        raises_quietly(BadInput, lambda: Game(lam))
+    for adj in ([["a", "b"], ["b", "a"]], [[0, np.nan], [np.nan, 0]], [[0], [0, 0]]):
+        raises_quietly(BadInput, lambda: games.Graph(adj))
+    assert Game(np.ones((1, 1, 1, 1), dtype=int)).lam.dtype == bool

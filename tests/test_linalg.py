@@ -396,3 +396,42 @@ def test_numeric_array_refuses_without_a_warning(a, real, finite):
 def test_numeric_array_keeps_numbers_without_a_copy():
     for a in (np.eye(2), np.eye(2, dtype=bool), np.eye(2, dtype=complex), np.full((1,), np.nan)):
         assert linalg.numeric_array(a, "matrix", finite=False) is a
+
+
+_EYE2 = np.eye(2)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("call", [
+    lambda tol: linalg.hermitian_eig(_EYE2, tol),
+    lambda tol: linalg.is_psd(_EYE2, tol),
+    lambda tol: linalg.is_hermitian(_EYE2, tol),
+    lambda tol: linalg.is_projection(_EYE2, tol),
+    lambda tol: linalg.nullspace(_EYE2, tol),
+    lambda tol: linalg.joint_commutant([_EYE2], tol),
+    lambda tol: linalg.joint_commutant([1j * _EYE2], tol),
+    lambda tol: linalg.orthonormal_span([_EYE2], tol),
+    lambda tol: linalg.orthonormal_span([], tol),
+    lambda tol: linalg.span_containment_residual([_EYE2], [_EYE2], tol),
+    lambda tol: cpmaps.is_schur_closed([_EYE2], tol),
+    lambda tol: cpmaps.is_schur_closed([], tol),
+])
+def test_linalg_functions_name_a_bad_tol(call, tol):
+    with pytest.raises(BadInput, match="tol must be a finite number > 0"):
+        call(tol)
+
+
+_STRINGS, _NANS = np.array([["a", "b"], ["c", "d"]]), np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: cpmaps.apply_map(cpmaps.identity_map(2), m),
+    lambda m: qperm.factorizable_apply(qperm.from_permutation([1, 0]), m),
+    lambda m: linalg.joint_commutant([m]),
+    lambda m: qperm.conjugate(qperm.from_permutation([1, 0]), m),
+    lambda m: qperm.block_pair(m, m),
+    lambda m: linalg.nullspace(m),
+])
+@pytest.mark.parametrize("m", [_STRINGS, _NANS])
+def test_matrix_inputs_are_numbers_and_finite(call, m):
+    raises_quietly(BadInput, lambda: call(m))
